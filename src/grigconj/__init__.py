@@ -22,7 +22,7 @@ from .words import (
     reduce,
     split_children,
 )
-from .quotient import BuildDivergence, QuotientTables, SandwichGap, build_quotient, coset, get_tables
+from .quotient import BuildDivergence, ConfigError, QuotientTables, SandwichGap, build_quotient, coset, get_tables
 from .sptree import SplitTree, build_tree, build_tree9, tree_height
 from .engine import CapacityViolation, are_conjugate, conjugate_pairs, q_set, solve
 from .search import (
@@ -46,6 +46,7 @@ __all__ = [
     "NormWeights",
     "NotInStabilizer",
     "BuildDivergence",
+    "ConfigError",
     "SandwichGap",
     "QuotientTables",
     "CapacityViolation",

@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 for YES/success, 1 for NO/absence, 2 for usage, parse, or
-I/O errors.  Identity elements print as "1" to match the input syntax.
+I/O errors, 3 for a bad ``GRIG_MAX_DEPTH`` or a quotient build that fails
+to certify.  Identity elements print as "1" to match the input syntax.
 The global ``--json`` flag switches every command to a machine-readable
 single-object output.
 """
@@ -269,6 +270,9 @@ def run(argv=None) -> int:
     except (words.InvalidCharacter, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (quotient.ConfigError, quotient.BuildDivergence) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

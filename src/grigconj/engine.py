@@ -3,20 +3,26 @@
 Builds the universe of splitting-tree labels for the inputs, processes it
 in shortlex order against a growing table of conjugacy-class
 representatives, and answers conjugacy queries by comparing assigned
-representatives.  Total work is linear in the combined input length: the
-universe is linear by the tree-size bounds, each word is processed with a
-constant number of bounded Q-set operations per table entry, and no row
-ever holds more than 256 entries.
+representatives.  Apart from the sort, total work is linear in the
+combined input length: the universe is linear by the tree-size bounds,
+each word costs a constant number of bounded Q-set operations per row
+member, and no row ever holds more than 256 members.
 
 Rows are keyed by the representatives of a word's children: a pair
 (w0*, w1*) for words with even a-count, the single representative
-(w0·w1)* otherwise.  Within a row, entries are pairwise non-conjugate;
-the first entry found conjugate to a new word becomes its representative.
+(w0·w1)* otherwise.  Within a row, members are pairwise non-conjugate;
+the first member found conjugate to a new word becomes its representative.
+
+The universe and the row index are dicts; ``ops`` charges ``len(key) + 1``
+per access, hit, miss or insert.  ``sorted`` orders the universe with
+O(L log m) character comparisons in C (L universe letters, m universe
+words), against the linear bucket pass of the prefix-tree sort it
+replaced.  The sort is not in ``ops``, which carries the paper's
+linearity claim.
 """
 
 from __future__ import annotations
 
-from . import trie
 from .quotient import (
     IDENTITY_COSET,
     QuotientTables,
@@ -26,15 +32,17 @@ from .quotient import (
     set_mul,
     shift_a,
 )
-from .words import a_parity, parse, phi_pair, reduce
+from .words import a_parity, parse, phi_pair, reduce, shortlex_key
 
 ROW_CAPACITY = 256
 
-_SEP = trie.SEPARATOR
+# Row labels join representatives with the separator; a leading separator
+# tags pair labels so they never collide with single-word labels.
+SEPARATOR = ","
 
 
 class CapacityViolation(RuntimeError):
-    """A row exceeded 256 entries, contradicting the capacity theorem."""
+    """A row exceeded 256 members, contradicting the capacity theorem."""
 
 
 class WordRecord:
@@ -66,11 +74,11 @@ class WordRecord:
 
 
 class ConjRow:
-    __slots__ = ("key", "entries")
+    __slots__ = ("key", "members")
 
     def __init__(self, key: str):
         self.key = key
-        self.entries = []
+        self.members = []
 
 
 class ConjTable:
@@ -78,29 +86,27 @@ class ConjTable:
 
     def __init__(self, tables: QuotientTables):
         self.tables = tables
-        self.lambda1 = trie.Trie()   # word -> WordRecord
-        self.lambda2 = trie.Trie()   # row label -> ConjRow
+        self.lambda1 = {}   # word -> WordRecord
+        self.lambda2 = {}   # row label -> ConjRow
         self.rows = []
         self.ops = 0
-        self.max_row_size = 0
+        self.max_row_size = 1   # the seed rows hold one member each
         self._seed()
 
     # -- row keys ----------------------------------------------------------
     @staticmethod
     def pair_key(r0: str, r1: str) -> str:
-        # Leading separator tags pair labels apart from single-word labels.
-        return _SEP + r0 + _SEP + r1
+        return SEPARATOR + r0 + SEPARATOR + r1
 
     # -- seeding -----------------------------------------------------------
     def _seed(self):
         t = self.tables
         base = t.base_q
-        records = {}
+        records = self.lambda1
         for w in ("", "a", "b", "c", "d"):
-            rec = WordRecord(w)
+            rec = records[w] = WordRecord(w)
             rec.coset_id = t.gen_coset[w] if w else IDENTITY_COSET
-            records[w] = rec
-            self.lambda1.insert(w, rec)
+            self.ops += len(w) + 1
         eps = records[""]
         eps.child0 = eps.child1 = eps
         for g, (s0, s1) in (("b", ("a", "c")), ("c", ("a", "d")), ("d", ("", "b"))):
@@ -121,14 +127,16 @@ class ConjTable:
         self._new_row(self.pair_key("a", "d"), records["c"])
         self._new_row(self.pair_key("", "b"), records["d"])
 
-    def _new_row(self, key: str, first: WordRecord) -> ConjRow:
+    def _new_row(self, key: str, first: WordRecord):
         row = ConjRow(key)
-        row.entries.append(first)
+        row.members.append(first)
         self.rows.append(row)
-        self.lambda2.insert(key, row)
-        if not self.max_row_size:
-            self.max_row_size = 1
-        return row
+        self.lambda2[key] = row
+        self.ops += len(key) + 1
+
+    def _row(self, key: str):
+        self.ops += len(key) + 1
+        return self.lambda2.get(key)
 
     # -- Q-set transport ----------------------------------------------------
     def transport(self, x: WordRecord, y: WordRecord) -> int:
@@ -209,29 +217,28 @@ class ConjTable:
         if rec.even:
             r0 = rec.child0.rep.word
             r1 = rec.child1.rep.word
-            row = self.lambda2.lookup(self.pair_key(r0, r1))
-            if row is None and r0 != r1:
-                row = self.lambda2.lookup(self.pair_key(r1, r0))
-            q_of = self._q_against_even
             key = self.pair_key(r0, r1)
+            row = self._row(key)
+            if row is None and r0 != r1:
+                row = self._row(self.pair_key(r1, r0))
+            q_of = self._q_against_even
         else:
-            label = rec.child.rep.word
-            row = self.lambda2.lookup(label)
+            key = rec.child.rep.word
+            row = self._row(key)
             q_of = self._q_against_odd
-            key = label
         self.ops += len(rec.word) + 2
 
         if row is not None:
-            for other in row.entries:
+            for other in row.members:
                 q = q_of(rec, other)
                 if q:
                     rec.rep = other
                     rec.q_to_rep = q
                     rec.processed = True
                     return
-            if len(row.entries) >= ROW_CAPACITY:
+            if len(row.members) >= ROW_CAPACITY:
                 raise CapacityViolation(
-                    f"row {row.key!r} would exceed {ROW_CAPACITY} entries"
+                    f"row {row.key!r} would exceed {ROW_CAPACITY} members"
                 )
         rec.rep = rec
         rec.q_to_rep = q_of(rec, rec)
@@ -241,9 +248,9 @@ class ConjTable:
         if row is None:
             self._new_row(key, rec)
         else:
-            row.entries.append(rec)
-            if len(row.entries) > self.max_row_size:
-                self.max_row_size = len(row.entries)
+            row.members.append(rec)
+            if len(row.members) > self.max_row_size:
+                self.max_row_size = len(row.members)
 
 
 class SolveResult:
@@ -254,7 +261,7 @@ class SolveResult:
         self.inputs = inputs
 
     def record(self, w: str) -> WordRecord:
-        rec = self.table.lambda1.lookup(w)
+        rec = self.table.lambda1.get(w)
         if rec is None:
             raise KeyError(f"{w!r} is not in the solved universe")
         return rec
@@ -279,7 +286,7 @@ class SolveResult:
 
     @property
     def ops(self) -> int:
-        return self.table.ops + self.table.lambda1.ops + self.table.lambda2.ops
+        return self.table.ops
 
     @property
     def max_row_size(self) -> int:
@@ -293,20 +300,20 @@ def collect_universe(inputs, table: ConjTable) -> list:
     lam1 = table.lambda1
     mul = t.mul
     gc = t.gen_coset
-    stack = [w for w in inputs]
+    stack = list(inputs)
     words_out = []
     while stack:
         w = stack.pop()
-        if lam1.lookup(w) is not None:
+        table.ops += len(w) + 1
+        if w in lam1:
             continue
-        rec = WordRecord(w)
-        lam1.insert(w, rec)
+        rec = lam1[w] = WordRecord(w)
         words_out.append(w)
         c = IDENTITY_COSET
         for ch in w:
             c = mul[c][gc[ch]]
         rec.coset_id = c
-        table.ops += 2 * len(w) + 1
+        table.ops += 3 * len(w) + 2   # the insert, then the coset walk
         if a_parity(w) == 0:
             w0, w1 = phi_pair(w)
             rec.even = True
@@ -330,14 +337,17 @@ def collect_universe(inputs, table: ConjTable) -> list:
             stack.append(y)
     # Resolve child references now that every label has a record.
     for w in words_out:
-        rec = lam1.lookup(w)
+        rec = lam1[w]
         if rec.even:
-            rec.child0 = lam1.lookup(rec.child0)
-            rec.child1 = lam1.lookup(rec.child1)
+            rec.child0 = lam1[rec.child0]
+            rec.child1 = lam1[rec.child1]
+            table.ops += len(w) + len(rec.child0.word) + len(rec.child1.word) + 3
         else:
-            rec.child = lam1.lookup(rec.child)
-    ordered = trie.shortlex_order(words_out)
-    return [lam1.lookup(w) for w in ordered]
+            rec.child = lam1[rec.child]
+            table.ops += len(w) + len(rec.child.word) + 2
+    ordered = sorted(words_out, key=shortlex_key)
+    table.ops += sum(map(len, ordered)) + len(ordered)
+    return [lam1[w] for w in ordered]
 
 
 def solve(inputs, tables: QuotientTables | None = None) -> SolveResult:

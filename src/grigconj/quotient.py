@@ -33,6 +33,10 @@ class BuildDivergence(RuntimeError):
     """Quotient index failed to reach 16 within the depth cap."""
 
 
+class ConfigError(ValueError):
+    """GRIG_MAX_DEPTH is not an integer >= 1."""
+
+
 class SandwichGap(RuntimeError):
     """Brute-force lower bound never met the fixpoint upper bound."""
 
@@ -272,12 +276,6 @@ def q_odd_cosets(q_prod: int, cu1: int, cv0: int, cv1: int, tables: QuotientTabl
     return out
 
 
-def q_odd(q_prod: int, u0: str, u1: str, v0: str, v1: str, tables: QuotientTables) -> int:
-    return q_odd_cosets(
-        q_prod, coset(u1, tables), coset(v0, tables), coset(v1, tables), tables
-    )
-
-
 # ---------------------------------------------------------------------------
 # Build.
 
@@ -337,7 +335,10 @@ def build_quotient(max_depth: int | None = None) -> QuotientTables:
     and the finite computation is exact from that depth on.
     """
     if max_depth is None:
-        max_depth = int(os.environ.get("GRIG_MAX_DEPTH", "8"))
+        raw = os.environ.get("GRIG_MAX_DEPTH", "8")
+        max_depth = int(raw) if raw.strip().isdecimal() else 0
+        if max_depth < 1:
+            raise ConfigError(f"GRIG_MAX_DEPTH must be an integer >= 1, got {raw!r}")
     for depth in range(1, max_depth + 1):
         gens = generator_leaf_perms(depth)
         glist = [gens[ch] for ch in "abcd"]

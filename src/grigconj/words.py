@@ -224,13 +224,8 @@ def equal(u: str, v: str) -> bool:
 
 
 def shortlex_key(w: str):
+    """Sort key: shorter word first, ties broken letter-wise a<b<c<d."""
     return (len(w), w)
-
-
-def shortlex_compare(u: str, v: str) -> int:
-    """-1, 0, or 1: shorter word first, ties broken letter-wise a<b<c<d."""
-    ku, kv = shortlex_key(u), shortlex_key(v)
-    return -1 if ku < kv else (0 if ku == kv else 1)
 
 
 def _extensions(w: str) -> str:

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
-from grigconj import cli
+import pytest
+
+import grigconj
+from grigconj import cli, quotient
 
 
 def run_lines(capsys, *argv):
@@ -125,3 +131,32 @@ class TestQuotientDump:
         assert len(payload["mul"]) == 16
         assert len(payload["pairs"]) == 32
         assert payload["base_q"]["1"] == list(range(16))
+
+
+class TestConfigurationErrors:
+    @pytest.mark.parametrize(
+        "raw, message",
+        [("x", "error: GRIG_MAX_DEPTH"), ("1", "error: index did not reach 16")],
+    )
+    def test_exit_three_with_one_line(self, monkeypatch, capsys, raw, message):
+        monkeypatch.setattr(quotient, "_TABLES", None)
+        monkeypatch.setenv("GRIG_MAX_DEPTH", raw)
+        assert cli.run(["conj", "b", "aba"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert len(captured.err.splitlines()) == 1
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m(self):
+        src = os.path.dirname(os.path.dirname(grigconj.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        env.pop("GRIG_MAX_DEPTH", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "grigconj", "conj", "b", "aba"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "YES\n"

@@ -1,8 +1,20 @@
+from hypothesis import given
+from hypothesis import strategies as st
+
 from conftest import rand_reduced
 from grigconj import oracle
-from grigconj.engine import ConjTable, ROW_CAPACITY, are_conjugate, conjugate_pairs, q_set, solve
+from grigconj.engine import (
+    ROW_CAPACITY,
+    SEPARATOR,
+    ConjTable,
+    WordRecord,
+    are_conjugate,
+    collect_universe,
+    conjugate_pairs,
+    q_set,
+    solve,
+)
 from grigconj.quotient import IDENTITY_COSET, coset
-from grigconj.trie import SEPARATOR
 from grigconj.words import a_parity, equal, inverse, iter_reduced_words, reduce
 
 
@@ -18,12 +30,12 @@ class TestInitialTable:
             SEPARATOR + SEPARATOR + "b",                # (1, b)
         }
         for row in table.rows:
-            assert len(row.entries) == 1
+            assert len(row.members) == 1
 
     def test_seeds_are_their_own_representatives(self, tables):
         table = ConjTable(tables)
         for w in ("", "a", "b", "c", "d"):
-            rec = table.lambda1.lookup(w)
+            rec = table.lambda1[w]
             assert rec.processed and rec.rep is rec
             assert rec.q_to_rep == tables.base_q[w]
 
@@ -31,12 +43,12 @@ class TestInitialTable:
 class TestUniverse:
     def test_identity_input_gives_seed_universe(self, tables):
         res = solve([""], tables)
-        assert {k for k, _ in res.table.lambda1.items()} == {"", "a", "b", "c", "d"}
+        assert set(res.table.lambda1) == {"", "a", "b", "c", "d"}
 
     def test_aba_universe(self, tables):
         # Tree labels of aba are {aba, c, a}; merged with the seeds.
         res = solve(["aba"], tables)
-        assert {k for k, _ in res.table.lambda1.items()} == {
+        assert set(res.table.lambda1) == {
             "", "a", "b", "c", "d", "aba",
         }
 
@@ -44,6 +56,22 @@ class TestUniverse:
         res = solve(["b", "b"], tables)
         assert res.record("b") is res.record("b")
         assert len(res.table.lambda1) == 5
+
+    @given(st.lists(st.text(alphabet="abcd", max_size=30).map(reduce), max_size=10))
+    def test_collect_universe_shortlex_and_resolved(self, tables, ws):
+        # Duplicates and the empty word ride along with every draw.
+        inputs = ws + ws[:3] + [""]
+        table = ConjTable(tables)
+        out = collect_universe(inputs, table)
+        labels = [rec.word for rec in out]
+        assert labels == sorted(set(labels), key=lambda w: (len(w), w))
+        assert set(labels) | {"", "a", "b", "c", "d"} == set(table.lambda1)
+        assert all(w in table.lambda1 for w in inputs)
+        for rec in table.lambda1.values():
+            children = (rec.child0, rec.child1) if rec.even else (rec.child,)
+            for child in children:
+                assert isinstance(child, WordRecord)
+                assert table.lambda1[child.word] is child
 
     def test_odd_prerequisite_chain(self, tables):
         # Processing ab needs its same-length child ca, which needs ad,
@@ -252,17 +280,17 @@ class TestTableInvariants:
         res = solve(inputs, tables)
         assert res.max_row_size <= ROW_CAPACITY
         for row in res.table.rows:
-            reps = [e is e.rep for e in row.entries]
+            reps = [e is e.rep for e in row.members]
             assert all(reps)
-            # entries pairwise non-conjugate
-            for i, e1 in enumerate(row.entries):
-                for e2 in row.entries[i + 1 :]:
+            # members pairwise non-conjugate
+            for i, e1 in enumerate(row.members):
+                for e2 in row.members[i + 1 :]:
                     assert e1.rep is not e2.rep
 
     def test_processed_records_have_nonempty_q(self, tables, rng):
         inputs = [rand_reduced(rng.randrange(0, 80), rng) for _ in range(20)]
         res = solve(inputs, tables)
-        for _, rec in res.table.lambda1.items():
+        for rec in res.table.lambda1.values():
             assert rec.processed
             assert rec.q_to_rep != 0
             if rec.rep is rec:

@@ -6,6 +6,7 @@ from grigconj.quotient import (
     FULL_MASK,
     IDENTITY_COSET,
     BuildDivergence,
+    ConfigError,
     Portrait,
     build_quotient,
     coset,
@@ -13,7 +14,7 @@ from grigconj.quotient import (
     generator_portraits,
     lift_set_product,
     q_even,
-    q_odd,
+    q_odd_cosets,
     set_inv,
     set_mul,
     shift_a,
@@ -88,6 +89,12 @@ class TestBuild:
             build_quotient()
         monkeypatch.setenv("GRIG_MAX_DEPTH", "5")
         assert build_quotient().stabilizer_depth == 3
+
+    @pytest.mark.parametrize("raw", ["x", "", "0", "-1", "2.5"])
+    def test_depth_cap_env_rejects_bad_values(self, monkeypatch, raw):
+        monkeypatch.setenv("GRIG_MAX_DEPTH", raw)
+        with pytest.raises(ConfigError, match="GRIG_MAX_DEPTH"):
+            build_quotient()
 
     def test_group_axioms_exhaustive(self, tables):
         mul, inv = tables.mul, tables.inv
@@ -205,10 +212,10 @@ class TestQFormulas:
         assert q >> IDENTITY_COSET & 1
 
     def test_q_odd_empty_product(self, tables):
-        assert q_odd(0, "", "", "", "", tables) == 0
+        assert q_odd_cosets(0, 0, 0, 0, tables) == 0
 
     def test_q_odd_reconstructs_base_a(self, tables):
-        assert q_odd(FULL_MASK, "", "", "", "", tables) == tables.base_q["a"]
+        assert q_odd_cosets(FULL_MASK, 0, 0, 0, tables) == tables.base_q["a"]
 
     def test_q_odd_ab_ba_nonempty(self, tables):
         # a^-1 (ab) a = ba, so the conjugator coset of a must appear.
