@@ -1,16 +1,17 @@
 """Command-line frontend.
 
 Exit codes: 0 for YES/success, 1 for NO/absence, 2 for usage, parse, or
-I/O errors, 3 for a bad ``GRIG_MAX_DEPTH`` or a quotient build that fails
-to certify.  Identity elements print as "1" to match the input syntax.
-The global ``--json`` flag switches every command to a machine-readable
-single-object output.
+I/O errors, 3 for a bad ``GRIG_MAX_DEPTH``, a quotient build that fails
+to certify, or an internal invariant violation.  Identity elements print
+as "1" to match the input syntax.  The global ``--json`` flag switches
+every command to a machine-readable single-object output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import engine, quotient, search, sptree, words
@@ -90,12 +91,13 @@ def _cmd_conjugator(args) -> int:
     payload = {"conjugator": words.format_word(x)}
     lines = [words.format_word(x)]
     if args.verify:
-        ok = words.equal(u, words.reduce(words.inverse(x) + v + x))
-        bound = 2 * (len(u) + len(v)) + 10
-        ratio = len(x) / bound if bound else 0.0
-        payload.update({"verified": ok, "length": len(x), "length_bound_ratio": ratio})
+        ok = words.equal(u, words.product(words.product(words.inverse(x), v), x))
+        # Polynomial length: log_n |x| over n input letters, as monitored
+        # by acceptance criterion 8 against its bound of 8.
+        log_n = math.log(max(len(x), 1), max(2, len(u) + len(v)))
+        payload.update({"verified": ok, "length": len(x), "length_log_n": log_n})
         lines.append(f"verified: {'YES' if ok else 'NO'}")
-        lines.append(f"length {len(x)}, bound ratio {ratio:.3f}")
+        lines.append(f"length {len(x)}, log_n {log_n:.2f} (bound 8)")
         if not ok:
             return 2
     _emit(args, payload, lines)
@@ -259,6 +261,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Invariant violations inside the library.  They must not reach the exit
+# codes 0/1, which read as answers.
+_INTERNAL_ERRORS = (
+    AssertionError,
+    engine.CapacityViolation,
+    search.LiftResidual,
+    search.BaseIncomplete,
+    quotient.SandwichGap,
+)
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -272,6 +285,10 @@ def run(argv=None) -> int:
         return 2
     except (quotient.ConfigError, quotient.BuildDivergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except _INTERNAL_ERRORS as exc:
+        detail = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 3
 
 

@@ -32,7 +32,7 @@ from .quotient import (
     set_mul,
     shift_a,
 )
-from .words import a_parity, parse, phi_pair, reduce, shortlex_key
+from .words import a_parity, parse, phi_pair, product, shortlex_key
 
 ROW_CAPACITY = 256
 
@@ -322,8 +322,8 @@ def collect_universe(inputs, table: ConjTable) -> list:
             stack.append(w0)
             stack.append(w1)
         else:
-            w0, w1 = phi_pair(reduce(w + "a"))
-            y = reduce(w0 + w1)
+            w0, w1 = phi_pair(product(w, "a"))
+            y = product(w0, w1)
             rec.even = False
             rec.child = y
             c0 = IDENTITY_COSET

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 
-from .words import equal, inverse, iter_reduced_words, reduce
+from .words import equal, inverse, iter_reduced_words, product
 
 FULL_MASK = 0xFFFF
 IDENTITY_COSET = 0
@@ -455,7 +455,7 @@ def derive_base_q(tables: QuotientTables, max_witness_len: int = 24) -> dict:
         for g in "abcd":
             if lower[g] >> cx & 1:
                 continue
-            if equal(reduce(xi + g + x), g):
+            if equal(product(product(xi, g), x), g):
                 lower[g] |= 1 << cx
         if all(lower[g] == upper[g] for g in "abcd"):
             done = True

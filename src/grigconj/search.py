@@ -25,11 +25,12 @@ from .words import (
     norm9_universe,
     parse,
     phi_pair,
-    reduce,
+    product,
 )
 
 TAU0 = {"a": "c", "b": "ada", "c": "aba", "d": "aca"}
 TAU1 = {"a": "aca", "b": "d", "c": "b", "d": "c"}
+_TAU_TRANS = (str.maketrans(TAU0), str.maketrans(TAU1))
 
 # States (k, e) of the order-8 group <a, d>: the element (ad)^k a^e.
 # Canonical reduced words for each state:
@@ -57,9 +58,14 @@ class BaseIncomplete(RuntimeError):
 
 def tau(which: int, w: str) -> str:
     """Letter substitution producing a word whose section ``which`` is ``w``
-    (the other section lands in <a, d>).  Output length <= 2|w| + 1."""
-    table = TAU0 if which == 0 else TAU1
-    out = reduce("".join(table[ch] for ch in w))
+    (the other section lands in <a, d>).  Output length <= 2|w| + 1.
+
+    ``w`` must be reduced.  tau0 sends ``a`` to a star and each star to an
+    alternating word that begins and ends with ``a``; tau1 does the
+    reverse.  So the image of an alternating word alternates and is
+    already reduced.
+    """
+    out = w.translate(_TAU_TRANS[which])
     if len(out) > 2 * len(w) + 1:
         raise AssertionError(f"tau{which} image too long for {w!r}")
     return out
@@ -89,7 +95,8 @@ def dihedral_normalize(w: str) -> str:
 
 
 def lift_word(x0: str, x1: str, tables: QuotientTables | None = None) -> str:
-    """A word x with even a-count whose sections equal (x0, x1) in the group.
+    """A word x with even a-count whose sections equal the reduced words
+    (x0, x1) in the group.
 
     z0 = tau0(x0) has sections (x0, delta0) with delta0 dihedral;
     z1 = tau1(delta0^-1 x1) then repairs the right section.  The residue
@@ -104,8 +111,8 @@ def lift_word(x0: str, x1: str, tables: QuotientTables | None = None) -> str:
     z0 = tau(0, x0)
     _, d0raw = phi_pair(z0)
     delta0 = dihedral_normalize(d0raw)
-    z1 = tau(1, reduce(inverse(delta0) + x1))
-    x = reduce(z0 + z1)
+    z1 = tau(1, product(inverse(delta0), x1))
+    x = product(z0, z1)
     if len(x) > 2 * (len(x0) + len(x1)) + 10:
         raise AssertionError("lifted word exceeds its length bound")
     p0, p1 = phi_pair(x)
@@ -176,7 +183,7 @@ def build_base_conj_table(
             candidates = by_coset.get(cx)
             if not candidates:
                 continue
-            y = reduce(inverse(x) + v + x)
+            y = product(product(inverse(x), v), x)
             hits = [u for u in candidates if u == y or equal(u, y)]
             for u in hits:
                 slots[(u, v, cx)] = x
@@ -240,13 +247,13 @@ class _Searcher:
                     if h >= 0 and mul[h][ca] == g:
                         x0 = self.find(u1, v0, g0)
                         x1 = self.find(u0, v1, g1)
-                        x = reduce(lift_word(x0, x1, t) + "a")
+                        x = product(lift_word(x0, x1, t), "a")
                         return self._check(u, v, g, x, max(len(x0), len(x1)))
             raise AssertionError(f"no section cosets produce {g} for ({u!r}, {v!r})")
-        u0, u1 = phi_pair(reduce(u + "a"))
-        v0, v1 = phi_pair(reduce(v + "a"))
-        p = reduce(u0 + u1)
-        q = reduce(v0 + v1)
+        u0, u1 = phi_pair(product(u, "a"))
+        v0, v1 = phi_pair(product(v, "a"))
+        p = product(u0, u1)
+        q = product(v0, v1)
         q_prod = self.solved.q_set(p, q)
         cu1 = coset(u1, t)
         cv0 = coset(v0, t)
@@ -257,16 +264,16 @@ class _Searcher:
             h = lift[(gp << 4) | mul[cv1][mul[gp][iu1]]]
             if h == g:
                 x0 = self.find(p, q, gp)
-                x1 = reduce(v1 + x0 + inverse(u1))
+                x1 = product(product(v1, x0), inverse(u1))
                 x = lift_word(x0, x1, t)
                 return self._check(u, v, g, x, len(x0))
             # Odd conjugator: x·a has sections (z u1^-1, v1 z u1^-1 u0^-1).
             h = lift[(mul[gp][iu1] << 4) | mul[inv[cv0]][gp]]
             if h >= 0 and mul[h][ca] == g:
                 z = self.find(p, q, gp)
-                x0 = reduce(z + inverse(u1))
-                x1 = reduce(v1 + x0 + inverse(u0))
-                x = reduce(lift_word(x0, x1, t) + "a")
+                x0 = product(z, inverse(u1))
+                x1 = product(product(v1, x0), inverse(u0))
+                x = product(lift_word(x0, x1, t), "a")
                 return self._check(u, v, g, x, len(z))
         raise AssertionError(f"no product coset produces {g} for ({u!r}, {v!r})")
 
@@ -307,6 +314,6 @@ def find_conjugator(
     elif not q >> g & 1:
         return None
     x = _Searcher(solved, tables, base).find(u, v, g)
-    if not equal(u, reduce(inverse(x) + v + x)):
+    if not equal(u, product(product(inverse(x), v), x)):
         raise AssertionError("constructed conjugator failed verification")
     return x

@@ -6,6 +6,10 @@ Group elements are handled as reduced words: plain Python strings over
 canonical in length but not in group element; deciding equality requires
 the splitting recursion implemented here.
 
+Two reducers: :func:`reduce` rewrites an arbitrary letter sequence in one
+linear pass, while :func:`product` multiplies two words that are already
+reduced, where only the letters at the junction can cancel or merge.
+
 All functions in this module are pure; strings are immutable, so values
 can be shared freely between threads.
 """
@@ -131,6 +135,42 @@ def reduce(letters) -> str:
     return "".join(out)
 
 
+def product(u: str, v: str) -> str:
+    """Reduced form of ``u·v`` for reduced words ``u`` and ``v``.
+
+    Equal letters cancel pairwise across the junction; the first unequal
+    pair is either two stars, which merge into the third, or already
+    reduced.  The cancellation length is found by galloping, then
+    bisecting, on slice comparisons (``u[:~k:-1]`` is the last ``k``
+    letters of ``u`` reversed), so the work is a few C-level comparisons
+    plus one concatenation.
+    """
+    n = len(u)
+    m = min(n, len(v))
+    k = 0
+    if m and u[-1] == v[0]:
+        # Gallop: k letters cancel; probe 2k, capped at m.
+        k, hi = 1, m + 1
+        while k < m:
+            probe = min(2 * k, m)
+            if u[:~probe:-1] != v[:probe]:
+                hi = probe
+                break
+            k = probe
+        # Bisect: k letters cancel, hi letters do not.
+        while hi - k > 1:
+            mid = (k + hi) >> 1
+            if u[:~mid:-1] == v[:mid]:
+                k = mid
+            else:
+                hi = mid
+    if k < m:
+        x, y = u[n - k - 1], v[k]
+        if x != "a" and y != "a":
+            return "".join((u[: n - k - 1], _MERGE[x + y], v[k + 1 :]))
+    return u[: n - k] + v[k:]
+
+
 def parse(text: str) -> str:
     """Parse the text encoding of a word and reduce it.
 
@@ -200,8 +240,8 @@ def split_children(w: str) -> list[str]:
         return []
     if a_parity(w) == 0:
         return list(phi_pair(w))
-    w0, w1 = phi_pair(reduce(w + "a"))
-    return [reduce(w0 + w1)]
+    w0, w1 = phi_pair(product(w, "a"))
+    return [product(w0, w1)]
 
 
 def is_identity(w: str) -> bool:
@@ -220,7 +260,7 @@ def is_identity(w: str) -> bool:
 
 
 def equal(u: str, v: str) -> bool:
-    return is_identity(reduce(u + inverse(v)))
+    return is_identity(product(u, inverse(v)))
 
 
 def shortlex_key(w: str):

@@ -1,12 +1,15 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import grigconj
-from grigconj import cli, quotient
+from conftest import rand_reduced
+from grigconj import cli, engine, quotient, search
+from grigconj.words import inverse, product
 
 
 def run_lines(capsys, *argv):
@@ -96,6 +99,23 @@ class TestConjugatorCommand:
         code, lines = run_lines(capsys, "conjugator", "b", "c")
         assert code == 1 and lines == ["NONE"]
 
+    def test_length_reported_as_log_n(self, capsys):
+        rng = random.Random(7)
+        v = rand_reduced(2000, rng)
+        x = rand_reduced(1000, rng)
+        u = product(product(inverse(x), v), x)
+        code, lines = run_lines(capsys, "conjugator", u, v, "--verify")
+        assert code == 0 and lines[1] == "verified: YES"
+        length, log_n = lines[2].split(", ")
+        assert length == f"length {len(lines[0])}"
+        assert log_n.startswith("log_n ") and log_n.endswith(" (bound 8)")
+        assert 0 < float(log_n.split()[1]) < 8
+        code, lines = run_lines(capsys, "--json", "conjugator", u, v, "--verify")
+        payload = json.loads(lines[0])
+        assert code == 0 and payload["verified"] is True
+        assert "length_bound_ratio" not in payload
+        assert 0 < payload["length_log_n"] < 8
+
 
 class TestTreeCommand:
     def test_stats(self, capsys):
@@ -145,6 +165,36 @@ class TestConfigurationErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(message)
+        assert len(captured.err.splitlines()) == 1
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            AssertionError("invariant"),
+            engine.CapacityViolation("row over 256"),
+            search.LiftResidual("residue\nleft"),
+            search.BaseIncomplete("slot"),
+            quotient.SandwichGap("gap"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "target, argv",
+        [
+            ((search, "find_conjugator"), ["conjugator", "aba", "b"]),
+            ((engine, "solve"), ["conj", "b", "aba"]),
+        ],
+    )
+    def test_exit_three_with_one_line(self, monkeypatch, capsys, exc, target, argv):
+        def boom(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(*target, boom)
+        assert cli.run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal: ")
         assert len(captured.err.splitlines()) == 1
 
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import rand_reduced
 from grigconj import engine
@@ -57,6 +59,12 @@ class TestTau:
             w = rand_reduced(rng.randrange(0, 30), rng)
             assert len(tau(0, w)) <= 2 * len(w) + 1
             assert len(tau(1, w)) <= 2 * len(w) + 1
+
+    @given(st.text(alphabet="abcd", max_size=80).map(reduce), st.sampled_from([0, 1]))
+    def test_matches_reduced_substitution(self, w, which):
+        # Reference: substitute letter by letter, then reduce.
+        table = search_mod.TAU0 if which == 0 else search_mod.TAU1
+        assert tau(which, w) == reduce("".join(table[ch] for ch in w))
 
 
 class TestDihedral:

@@ -18,12 +18,38 @@ from grigconj.words import (
     norm,
     parse,
     phi_pair,
+    product,
     reduce,
     shortlex_key,
     split_children,
 )
 
 letter_seqs = st.text(alphabet="abcd", max_size=60)
+reduced_words = letter_seqs.map(reduce)
+
+
+@st.composite
+def junction_pairs(draw):
+    """Reduced (u, v) whose junction cascades: v starts with a prefix of
+    u^-1, optionally followed by a star that merges with u's next letter,
+    then an arbitrary reduced tail; or u, v are dihedral or d-heavy."""
+    kind = draw(st.sampled_from(["prefix", "inverse", "dihedral", "d_heavy"]))
+    if kind == "dihedral":
+        bases = st.sampled_from(["ad", "da", "a", "d"])
+        power = st.builds(lambda base, k: reduce(base * k), bases, st.integers(0, 12))
+        return draw(power), draw(power)
+    if kind == "d_heavy":
+        letters = st.lists(st.sampled_from("abcdddddd"), max_size=60)
+        heavy = letters.map(lambda seq: reduce("".join(seq)))
+        return draw(heavy), draw(heavy)
+    u = draw(reduced_words)
+    if kind == "inverse":
+        return u, inverse(u)
+    k = draw(st.integers(0, len(u)))
+    head = inverse(u)[:k]
+    if k < len(u) and u[-k - 1] != "a" and draw(st.booleans()):
+        head += draw(st.sampled_from([s for s in "bcd" if s != u[-k - 1]]))
+    return u, reduce(head + draw(reduced_words))
 
 
 class TestParse:
@@ -79,6 +105,52 @@ class TestReduce:
 
         r = reduce(s)
         assert word_equal_oracle("".join(s), r)
+
+
+class TestProduct:
+    @pytest.mark.parametrize(
+        "u,v,expected",
+        [
+            ("", "", ""),
+            ("", "aba", "aba"),
+            ("aba", "", "aba"),
+            ("a", "a", ""),
+            ("b", "c", "d"),
+            ("ab", "a", "aba"),
+            ("abac", "dab", "ababab"),
+            ("dab", "bad", ""),
+            ("cab", "bad", "b"),
+            ("adad", "adad", "adadadad"),
+        ],
+    )
+    def test_examples(self, u, v, expected):
+        assert product(u, v) == expected
+        assert product(u, v) == reduce(u + v)
+
+    @given(reduced_words, reduced_words)
+    def test_matches_reduce(self, u, v):
+        assert product(u, v) == reduce(u + v)
+
+    @given(junction_pairs())
+    def test_matches_reduce_at_the_junction(self, pair):
+        u, v = pair
+        assert is_reduced(u) and is_reduced(v)
+        assert product(u, v) == reduce(u + v)
+
+    def test_every_cancellation_length(self, rng):
+        # Whole-word and partial cancellation at each length around the
+        # powers of two that the galloping search probes.
+        for n in (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 64, 65):
+            u = rand_reduced(n, rng)
+            for k in range(n + 1):
+                v = reduce(inverse(u)[:k] + rand_reduced(3, rng))
+                assert product(u, v) == reduce(u + v)
+                assert product(v, u) == reduce(v + u)
+
+    def test_equal_on_a_long_word(self, rng):
+        x = rand_reduced(20000, rng)
+        assert equal(x, x)
+        assert product(x, inverse(x)) == ""
 
 
 class TestWeights:
