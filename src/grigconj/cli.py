@@ -17,10 +17,6 @@ import sys
 from . import engine, quotient, search, sptree, words
 
 
-def _mask_cosets(mask: int) -> list:
-    return [g for g in range(16) if mask >> g & 1]
-
-
 def _emit(args, payload: dict, text_lines: list) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -56,7 +52,7 @@ def _cmd_conj(args) -> int:
     conj = res.record(u).rep is res.record(v).rep
     payload = {"conjugate": conj}
     if conj:
-        payload["q_set"] = _mask_cosets(res.q_set(u, v))
+        payload["q_set"] = quotient.mask_cosets(res.q_set(u, v))
     _emit(args, payload, ["YES" if conj else "NO"])
     return 0 if conj else 1
 
@@ -91,15 +87,14 @@ def _cmd_conjugator(args) -> int:
     payload = {"conjugator": words.format_word(x)}
     lines = [words.format_word(x)]
     if args.verify:
-        ok = words.equal(u, words.product(words.product(words.inverse(x), v), x))
+        if not words.equal(u, words.product(words.product(words.inverse(x), v), x)):
+            raise AssertionError(f"conjugator of length {len(x)} failed the --verify re-check")
         # Polynomial length: log_n |x| over n input letters, as monitored
         # by acceptance criterion 8 against its bound of 8.
         log_n = math.log(max(len(x), 1), max(2, len(u) + len(v)))
-        payload.update({"verified": ok, "length": len(x), "length_log_n": log_n})
-        lines.append(f"verified: {'YES' if ok else 'NO'}")
+        payload.update({"verified": True, "length": len(x), "length_log_n": log_n})
+        lines.append("verified: YES")
         lines.append(f"length {len(x)}, log_n {log_n:.2f} (bound 8)")
-        if not ok:
-            return 2
     _emit(args, payload, lines)
     return 0
 
@@ -179,7 +174,7 @@ def _cmd_quotient_dump(args) -> int:
                     "pairs": [list(p) for p in t.pairs],
                     "lift": {f"{g0},{g1}": t.lift[(g0 << 4) | g1] for g0, g1 in t.pairs},
                     "base_q": {
-                        words.format_word(w): _mask_cosets(m) for w, m in t.base_q.items()
+                        words.format_word(w): quotient.mask_cosets(m) for w, m in t.base_q.items()
                     },
                 }
             )
@@ -201,7 +196,7 @@ def _cmd_quotient_dump(args) -> int:
     for w in ("", "a", "b", "c", "d"):
         print(
             f"{words.format_word(w)}\t"
-            + ",".join(str(g) for g in _mask_cosets(t.base_q[w]))
+            + ",".join(str(g) for g in quotient.mask_cosets(t.base_q[w]))
         )
     return 0
 

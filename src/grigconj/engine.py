@@ -13,12 +13,23 @@ Rows are keyed by the representatives of a word's children: a pair
 (w0·w1)* otherwise.  Within a row, members are pairwise non-conjugate;
 the first member found conjugate to a new word becomes its representative.
 
-The universe and the row index are dicts; ``ops`` charges ``len(key) + 1``
-per access, hit, miss or insert.  ``sorted`` orders the universe with
-O(L log m) character comparisons in C (L universe letters, m universe
-words), against the linear bucket pass of the prefix-tree sort it
-replaced.  The sort is not in ``ops``, which carries the paper's
-linearity claim.
+A word's Q-set against a row member comes from the children's stored
+Q-sets through ``quotient.q_even`` or ``quotient.q_odd_cosets``, the one
+implementation of each formula.
+
+Ops model (``ops`` carries the paper's linearity claim):
+
+- every dict access to the universe or the row index, hit, miss or
+  insert, charges ``len(key) + 1``;
+- an odd word's two section cosets charge ``len(w0) + len(w1)``, one per
+  letter walked;
+- a Q-set transport between words that share a representative charges
+  16, and each Q formula 256;
+- processing a word charges ``len(w) + 2``.
+
+``sorted`` orders the universe with O(L log m) character comparisons in C
+(L universe letters, m universe words), against the linear bucket pass of
+the prefix-tree sort it replaced.  The sort is not in ``ops``.
 """
 
 from __future__ import annotations
@@ -26,11 +37,12 @@ from __future__ import annotations
 from .quotient import (
     IDENTITY_COSET,
     QuotientTables,
+    coset,
     get_tables,
-    lift_set_product,
+    q_even,
+    q_odd_cosets,
     set_inv,
     set_mul,
-    shift_a,
 )
 from .words import a_parity, parse, phi_pair, product, shortlex_key
 
@@ -46,10 +58,10 @@ class CapacityViolation(RuntimeError):
 
 
 class WordRecord:
-    """Per-universe-word data: sections, coset, representative, Q-set."""
+    """Per-universe-word data: sections, representative, Q-set."""
 
     __slots__ = (
-        "word", "coset_id", "even",
+        "word", "even",
         "child0", "child1",          # section records (even words)
         "child", "oc0", "oc1",       # product record + section cosets (odd words)
         "rep", "q_to_rep", "processed",
@@ -57,7 +69,6 @@ class WordRecord:
 
     def __init__(self, word: str):
         self.word = word
-        self.coset_id = IDENTITY_COSET
         self.even = True
         self.child0 = None
         self.child1 = None
@@ -100,12 +111,10 @@ class ConjTable:
 
     # -- seeding -----------------------------------------------------------
     def _seed(self):
-        t = self.tables
-        base = t.base_q
+        base = self.tables.base_q
         records = self.lambda1
         for w in ("", "a", "b", "c", "d"):
-            rec = records[w] = WordRecord(w)
-            rec.coset_id = t.gen_coset[w] if w else IDENTITY_COSET
+            records[w] = WordRecord(w)
             self.ops += len(w) + 1
         eps = records[""]
         eps.child0 = eps.child1 = eps
@@ -149,45 +158,22 @@ class ConjTable:
         return set_mul(set_inv(y.q_to_rep, t), x.q_to_rep, t)
 
     def _q_against_even(self, rec: WordRecord, other: WordRecord) -> int:
-        t = self.tables
         self.ops += 256
-        straight = lift_set_product(
-            self.transport(rec.child0, other.child0),
-            self.transport(rec.child1, other.child1),
-            t,
+        tr = self.transport
+        return q_even(
+            tr(rec.child0, other.child0),
+            tr(rec.child1, other.child1),
+            tr(rec.child1, other.child0),
+            tr(rec.child0, other.child1),
+            self.tables,
         )
-        cross = lift_set_product(
-            self.transport(rec.child1, other.child0),
-            self.transport(rec.child0, other.child1),
-            t,
-        )
-        return straight | (shift_a(cross, t) if cross else 0)
 
     def _q_against_odd(self, rec: WordRecord, other: WordRecord) -> int:
-        t = self.tables
         self.ops += 256
         q_prod = self.transport(rec.child, other.child)
         if not q_prod:
             return 0
-        # lift{(g, v1 g u1^-1)} u lift{(g u1^-1, v0^-1 g)}a with u = rec, v = other
-        out = 0
-        acc2 = 0
-        mul, inv, lift = t.mul, t.inv, t.lift
-        iu1 = inv[rec.oc1]
-        iv0 = inv[other.oc0]
-        v1 = other.oc1
-        for g in range(16):
-            if q_prod >> g & 1:
-                gi = mul[g][iu1]
-                s = lift[(g << 4) | mul[v1][gi]]
-                if s >= 0:
-                    out |= 1 << s
-                s = lift[(gi << 4) | mul[iv0][g]]
-                if s >= 0:
-                    acc2 |= 1 << s
-        if acc2:
-            out |= shift_a(acc2, t)
-        return out
+        return q_odd_cosets(q_prod, rec.oc1, other.oc0, other.oc1, self.tables)
 
     # -- processing ---------------------------------------------------------
     def process(self, rec: WordRecord):
@@ -298,8 +284,6 @@ def collect_universe(inputs, table: ConjTable) -> list:
     returning them in shortlex processing order."""
     t = table.tables
     lam1 = table.lambda1
-    mul = t.mul
-    gc = t.gen_coset
     stack = list(inputs)
     words_out = []
     while stack:
@@ -309,11 +293,7 @@ def collect_universe(inputs, table: ConjTable) -> list:
             continue
         rec = lam1[w] = WordRecord(w)
         words_out.append(w)
-        c = IDENTITY_COSET
-        for ch in w:
-            c = mul[c][gc[ch]]
-        rec.coset_id = c
-        table.ops += 3 * len(w) + 2   # the insert, then the coset walk
+        table.ops += len(w) + 1   # the insert
         if a_parity(w) == 0:
             w0, w1 = phi_pair(w)
             rec.even = True
@@ -326,14 +306,9 @@ def collect_universe(inputs, table: ConjTable) -> list:
             y = product(w0, w1)
             rec.even = False
             rec.child = y
-            c0 = IDENTITY_COSET
-            for ch in w0:
-                c0 = mul[c0][gc[ch]]
-            c1 = IDENTITY_COSET
-            for ch in w1:
-                c1 = mul[c1][gc[ch]]
-            rec.oc0 = c0
-            rec.oc1 = c1
+            rec.oc0 = coset(w0, t)
+            rec.oc1 = coset(w1, t)
+            table.ops += len(w0) + len(w1)
             stack.append(y)
     # Resolve child references now that every label has a record.
     for w in words_out:

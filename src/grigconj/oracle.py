@@ -1,11 +1,17 @@
 """Independent cross-checks for the decision machinery.
 
 Nothing here is on any hot path.  Equality is decided through the action
-on a finite tree level (portraits composed into leaf permutations),
-conjugacy witnesses by shortlex enumeration, and Q-sets by a direct
-memoized recursion over word pairs.  These paths share as little code as
-possible with the linear-time engine so that agreement between the two is
-evidence, not tautology.
+on a finite tree level (the generators' leaf permutations composed along
+the word), conjugacy witnesses by shortlex enumeration, and Q-sets by a
+direct memoized recursion over word pairs.  These paths share as little
+code as possible with the linear-time engine so that agreement between
+the two is evidence, not tautology.
+
+The direct recursion does share the finite Q formulas of ``quotient``
+with the engine (``q_odd_cosets``, and the lift and a-shift of the even
+formula), so it checks the engine's rows and transport, not the
+formulas.  The depth action and brute-force witnesses share no formula
+code; the tests check the formulas against those.
 """
 
 from __future__ import annotations

@@ -1,11 +1,17 @@
 """The 16-element quotient by the normal closure K of abab.
 
-Everything here is derived at build time from finite-depth truncations of
-the generators (portraits): the multiplication/inverse tables of the
-quotient, the set L of section-coset pairs that admit a preimage, the
-lifting function on those pairs, and the base Q-sets of the five
-one-letter words.  Subsets of the 16 cosets are plain ints used as
+Everything here is derived at build time from the action of the
+generators on the leaves of a finite tree level: the multiplication/inverse
+tables of the quotient, the set L of section-coset pairs that admit a
+preimage, the lifting function on those pairs, and the base Q-sets of the
+five one-letter words.  Subsets of the 16 cosets are plain ints used as
 bitmasks, so every Q-set operation is a bounded table walk.
+
+This module is the single home of the two finite Q formulas: ``q_even``
+and ``q_odd_cosets`` give Q of a word pair from the Q-sets and cosets of
+its sections.  The engine calls both; the direct recursion in ``oracle``
+calls ``q_odd_cosets`` and builds the even case lazily from the same
+``lift_set_product`` and ``shift_a``.
 """
 
 from __future__ import annotations
@@ -42,108 +48,30 @@ class SandwichGap(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Portraits: finite-depth truncations of tree automorphisms.
-
-@dataclass(frozen=True)
-class Portrait:
-    """Automorphism of the depth-n truncated binary tree.
-
-    ``bits`` holds one swap flag per internal vertex in level-major order
-    (root first), so a depth-n portrait carries 2^n - 1 bits.
-    """
-
-    depth: int
-    bits: tuple
-
-    def __post_init__(self):
-        if len(self.bits) != (1 << self.depth) - 1:
-            raise ValueError("bit count does not match depth")
-
-    def _child(self, side: int) -> "Portrait":
-        # Subtree portrait below the root, before the root swap applies.
-        n = self.depth
-        out = []
-        pos = 1
-        width = 1
-        for _ in range(n - 1):
-            start = pos + side * width
-            out.extend(self.bits[start : start + width])
-            pos += 2 * width
-            width *= 2
-        return Portrait(n - 1, tuple(out))
-
-    @staticmethod
-    def _assemble(root_bit: int, left: "Portrait", right: "Portrait") -> "Portrait":
-        n = left.depth + 1
-        bits = [root_bit]
-        pos = 0
-        width = 1
-        for _ in range(n - 1):
-            bits.extend(left.bits[pos : pos + width])
-            bits.extend(right.bits[pos : pos + width])
-            pos += width
-            width *= 2
-        return Portrait(n, tuple(bits))
-
-    def compose(self, other: "Portrait") -> "Portrait":
-        """(self * other)(v) = self(other(v))."""
-        if self.depth != other.depth:
-            raise ValueError("depth mismatch")
-        if self.depth == 0:
-            return self
-        s, t = self.bits[0], other.bits[0]
-        s0, s1 = self._child(0), self._child(1)
-        t0, t1 = other._child(0), other._child(1)
-        # other routes branch i to branch i^t, where self's child acts.
-        left = (s1 if t else s0).compose(t0)
-        right = (s0 if t else s1).compose(t1)
-        return Portrait._assemble(s ^ t, left, right)
-
-    def invert(self) -> "Portrait":
-        if self.depth == 0:
-            return self
-        s = self.bits[0]
-        c0, c1 = self._child(0), self._child(1)
-        left = (c1 if s else c0).invert()
-        right = (c0 if s else c1).invert()
-        return Portrait._assemble(s, left, right)
-
-    def leaf_permutation(self) -> tuple:
-        """Action on the 2^depth leaves; bit depth-1 is the top branch."""
-        if self.depth == 0:
-            return (0,)
-        half = 1 << (self.depth - 1)
-        l = self._child(0).leaf_permutation()
-        r = self._child(1).leaf_permutation()
-        s = self.bits[0]
-        out = [0] * (2 * half)
-        for i in range(half):
-            out[i] = l[i] + (half if s else 0)
-            out[half + i] = r[i] + (0 if s else half)
-        return tuple(out)
-
-    @staticmethod
-    def identity(depth: int) -> "Portrait":
-        return Portrait(depth, (0,) * ((1 << depth) - 1))
-
-
-def generator_portraits(depth: int) -> dict:
-    """Portraits of a, b, c, d truncated at the given depth."""
-    if depth == 0:
-        e = Portrait.identity(0)
-        return {g: e for g in "abcd"}
-    prev = generator_portraits(depth - 1)
-    e = Portrait.identity(depth - 1)
-    return {
-        "a": Portrait._assemble(1, e, e),
-        "b": Portrait._assemble(0, prev["a"], prev["c"]),
-        "c": Portrait._assemble(0, prev["a"], prev["d"]),
-        "d": Portrait._assemble(0, e, prev["b"]),
-    }
-
+# Generator actions on the leaves of a finite tree level.
 
 def generator_leaf_perms(depth: int) -> dict:
-    return {g: p.leaf_permutation() for g, p in generator_portraits(depth).items()}
+    """Permutations of the 2^depth leaves under a, b, c, d.
+
+    Straight from the recursive definition: a swaps the two halves, and
+    b = (a, c), c = (a, d), d = (1, b) act by their sections on the left
+    and right halves.  Bit depth-1 of a leaf index is the top branch.
+    """
+    if depth == 0:
+        return {g: (0,) for g in "abcd"}
+    prev = generator_leaf_perms(depth - 1)
+    half = 1 << (depth - 1)
+    ident = tuple(range(half))
+
+    def pair(left: tuple, right: tuple) -> tuple:
+        return left + tuple(i + half for i in right)
+
+    return {
+        "a": tuple(range(half, 2 * half)) + ident,
+        "b": pair(prev["a"], prev["c"]),
+        "c": pair(prev["a"], prev["d"]),
+        "d": pair(ident, prev["b"]),
+    }
 
 
 def _compose(p: tuple, q: tuple) -> tuple:
@@ -182,9 +110,6 @@ class QuotientTables:
         """The relation L as coset-id pairs."""
         return [(i >> 4, i & 15) for i, t in enumerate(self.lift) if t >= 0]
 
-    def coset_a(self) -> int:
-        return self.gen_coset["a"]
-
 
 def coset(w: str, tables: QuotientTables) -> int:
     c = IDENTITY_COSET
@@ -193,6 +118,11 @@ def coset(w: str, tables: QuotientTables) -> int:
     for ch in w:
         c = mul[c][gc[ch]]
     return c
+
+
+def mask_cosets(mask: int) -> list:
+    """The coset ids in a set, in increasing order."""
+    return [g for g in range(16) if mask >> g & 1]
 
 
 def set_inv(mask: int, tables: QuotientTables) -> int:
@@ -265,10 +195,11 @@ def q_odd_cosets(q_prod: int, cu1: int, cv0: int, cv1: int, tables: QuotientTabl
     iv0 = inv[cv0]
     for g in range(16):
         if q_prod >> g & 1:
-            t = lift[(g << 4) | mul[cv1][mul[g][iu1]]]
+            gi = mul[g][iu1]
+            t = lift[(g << 4) | mul[cv1][gi]]
             if t >= 0:
                 out |= 1 << t
-            t = lift[(mul[g][iu1] << 4) | mul[iv0][g]]
+            t = lift[(gi << 4) | mul[iv0][g]]
             if t >= 0:
                 acc2 |= 1 << t
     if acc2:

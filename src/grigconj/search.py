@@ -15,7 +15,7 @@ per-level length recurrence are asserted on every call.
 from __future__ import annotations
 
 from . import engine
-from .quotient import QuotientTables, coset, get_tables
+from .quotient import QuotientTables, coset, get_tables, mask_cosets
 from .words import (
     a_parity,
     equal,
@@ -130,8 +130,7 @@ class BaseConjTable:
     """Explicit conjugators for every (u, v, coset) slot with both words in
     the norm < 9 universe and coset in Q(u, v)."""
 
-    def __init__(self, words_set: frozenset, slots: dict):
-        self.words = words_set
+    def __init__(self, slots: dict):
         self.slots = slots
 
     def conjugator(self, u: str, v: str, g: int) -> str:
@@ -155,7 +154,6 @@ def build_base_conj_table(
     if tables is None:
         tables = get_tables()
     universe = norm9_universe()
-    uset = frozenset(universe)
     solved = engine.solve(universe, tables)
 
     classes: dict = {}
@@ -194,7 +192,7 @@ def build_base_conj_table(
             raise BaseIncomplete(
                 f"slots for {v!r} unwitnessed at length {max_len}: {sorted(by_coset)}"
             )
-    return BaseConjTable(uset, slots)
+    return BaseConjTable(slots)
 
 
 _BASE: BaseConjTable | None = None
@@ -230,9 +228,9 @@ class _Searcher:
             v0, v1 = phi_pair(v)
             q00 = self.solved.q_set(u0, v0)
             q11 = self.solved.q_set(u1, v1)
-            for g0 in _bits(q00):
+            for g0 in mask_cosets(q00):
                 row = g0 << 4
-                for g1 in _bits(q11):
+                for g1 in mask_cosets(q11):
                     if lift[row | g1] == g:
                         x0 = self.find(u0, v0, g0)
                         x1 = self.find(u1, v1, g1)
@@ -240,9 +238,9 @@ class _Searcher:
                         return self._check(u, v, g, x, max(len(x0), len(x1)))
             q10 = self.solved.q_set(u1, v0)
             q01 = self.solved.q_set(u0, v1)
-            for g0 in _bits(q10):
+            for g0 in mask_cosets(q10):
                 row = g0 << 4
-                for g1 in _bits(q01):
+                for g1 in mask_cosets(q01):
                     h = lift[row | g1]
                     if h >= 0 and mul[h][ca] == g:
                         x0 = self.find(u1, v0, g0)
@@ -259,7 +257,7 @@ class _Searcher:
         cv0 = coset(v0, t)
         cv1 = coset(v1, t)
         iu1 = inv[cu1]
-        for gp in _bits(q_prod):
+        for gp in mask_cosets(q_prod):
             # Even conjugator: x = (x0, v1 x0 u1^-1).
             h = lift[(gp << 4) | mul[cv1][mul[gp][iu1]]]
             if h == g:
@@ -288,10 +286,6 @@ class _Searcher:
         return x
 
 
-def _bits(mask: int):
-    return [g for g in range(16) if mask >> g & 1]
-
-
 def find_conjugator(
     u: str,
     v: str,
@@ -310,7 +304,7 @@ def find_conjugator(
     if not q:
         return None
     if g is None:
-        g = next(iter(_bits(q)))
+        g = mask_cosets(q)[0]
     elif not q >> g & 1:
         return None
     x = _Searcher(solved, tables, base).find(u, v, g)

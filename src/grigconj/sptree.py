@@ -44,30 +44,35 @@ class SplitTree:
             stack.extend(node.children)
 
 
-def build_tree(w: str, weights: NormWeights = EXACT_WEIGHTS) -> SplitTree:
-    """Materialize the full splitting tree of ``w``.
+def _materialize(top, expand, label) -> SplitNode:
+    """Build the SplitNode tree below ``top`` without recursion.
 
-    Construction is iterative (expand phase, then aggregate bottom-up) so
-    the recursion depth of deep trees never hits the interpreter limit.
+    ``expand(item)`` lists an item's children left to right and
+    ``label(item)`` gives its (word, label_norm).  Items are expanded top
+    down, so parents get lower indices than their descendants, and nodes
+    are built bottom up.
     """
-    # Expand: discover every vertex (repeats included; trees are not DAGs).
-    # Parents get lower indices than their descendants.
     nodes: list = []
-    idx_stack = [(w, None)]
-    while idx_stack:
-        word, parent = idx_stack.pop()
+    stack = [(top, None)]
+    while stack:
+        item, parent = stack.pop()
         i = len(nodes)
-        nodes.append((word, []))
+        nodes.append((item, []))
         if parent is not None:
             nodes[parent][1].append(i)
-        for ch in reversed(split_children(word)):
-            idx_stack.append((ch, i))
-    # Build bottom-up; kids were recorded in pop order, i.e. left to right.
+        for child in reversed(expand(item)):
+            stack.append((child, i))
+    # Kids were recorded in pop order, i.e. left to right.
     built: list = [None] * len(nodes)
     for i in range(len(nodes) - 1, -1, -1):
-        word, kids = nodes[i]
-        built[i] = SplitNode(word, norm(word, weights), tuple(built[j] for j in kids))
-    root = built[0]
+        item, kids = nodes[i]
+        built[i] = SplitNode(*label(item), tuple(built[j] for j in kids))
+    return built[0]
+
+
+def _summarize(root: SplitNode) -> SplitTree:
+    """The tree rooted at ``root`` with its size, norm, letter and height
+    totals, in one pass."""
     count = 0
     total = 0.0
     letters = 0
@@ -85,6 +90,16 @@ def build_tree(w: str, weights: NormWeights = EXACT_WEIGHTS) -> SplitTree:
     return SplitTree(root, count, total, letters, height)
 
 
+def build_tree(w: str, weights: NormWeights = EXACT_WEIGHTS) -> SplitTree:
+    """Materialize the full splitting tree of ``w``.
+
+    Every vertex is kept, repeats included: trees are not DAGs.
+    Construction is iterative so the recursion depth of deep trees never
+    hits the interpreter limit.
+    """
+    return _summarize(_materialize(w, split_children, lambda u: (u, norm(u, weights))))
+
+
 def build_tree9(w: str, weights: NormWeights = EXACT_WEIGHTS) -> SplitTree:
     """The subtree of the splitting tree on vertices of norm >= 9.
 
@@ -94,44 +109,20 @@ def build_tree9(w: str, weights: NormWeights = EXACT_WEIGHTS) -> SplitTree:
     """
     full = build_tree(w, weights)
     heavy_total = sum(1 for node in full if node.label_norm >= 9.0)
-    if full.root is None or full.root.label_norm < 9.0:
+    if full.root.label_norm < 9.0:
         if heavy_total:
             raise AssertionError("norm >= 9 vertex below a light root")
         return SplitTree(None, 0, 0.0, 0, 0)
-
-    # Iterative prune: collect heavy vertices top-down, rebuild bottom-up.
-    nodes = []
-    idx_stack = [(full.root, None)]
-    while idx_stack:
-        node, parent = idx_stack.pop()
-        i = len(nodes)
-        nodes.append((node, []))
-        if parent is not None:
-            nodes[parent][1].append(i)
-        for c in reversed(node.children):
-            if c.label_norm >= 9.0:
-                idx_stack.append((c, i))
-    built: list = [None] * len(nodes)
-    for i in range(len(nodes) - 1, -1, -1):
-        node, kids = nodes[i]
-        built[i] = SplitNode(node.word, node.label_norm, tuple(built[j] for j in kids))
-    root = built[0]
-    count = 0
-    total = 0.0
-    letters = 0
-    height = 0
-    stack = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        count += 1
-        total += node.label_norm
-        letters += len(node.word)
-        height = max(height, depth)
-        for c in node.children:
-            stack.append((c, depth + 1))
-    if count != heavy_total:
+    tree = _summarize(
+        _materialize(
+            full.root,
+            lambda node: [c for c in node.children if c.label_norm >= 9.0],
+            lambda node: (node.word, node.label_norm),
+        )
+    )
+    if tree.vertex_count != heavy_total:
         raise AssertionError("norm >= 9 vertices do not form a connected subtree")
-    return SplitTree(root, count, total, letters, height)
+    return tree
 
 
 def tree_height(u: str, v: str, weights: NormWeights = EXACT_WEIGHTS) -> int:

@@ -116,6 +116,17 @@ class TestConjugatorCommand:
         assert "length_bound_ratio" not in payload
         assert 0 < payload["length_log_n"] < 8
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_failed_verify_is_internal_error(self, monkeypatch, capsys, json_flag):
+        # x = b fails aba = x^-1 b x; the failed re-check must read neither
+        # as an answer nor as a usage error.
+        monkeypatch.setattr(search, "find_conjugator", lambda u, v: "b")
+        assert cli.run(json_flag + ["conjugator", "aba", "b", "--verify"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal: AssertionError: ")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestTreeCommand:
     def test_stats(self, capsys):

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -204,6 +205,52 @@ class TestQSet:
                     assert q >> coset_of(x, tables) & 1, (u, v, x)
                     hits += 1
         assert hits > 50
+
+
+class TestQAgainstBruteWitnesses:
+    """The engine's Q(u, v) equals the set of cosets of brute-force
+    conjugators.  The engine and the direct recursion call the same Q
+    formulas, so this is the check of the formulas themselves: it uses
+    only the tree action and coset walks, no Q formula."""
+
+    DEPTH = 10        # sufficient_depth of 4 + 4 + 2 * 8 letters is 9
+    WITNESS_LEN = 8
+
+    def witness_cosets(self, ws, tables):
+        from grigconj.oracle import DepthAction, sufficient_depth
+        from grigconj.quotient import _compose, _invert
+
+        assert sufficient_depth(2 * max(map(len, ws)) + 2 * self.WITNESS_LEN) <= self.DEPTH
+        act = DepthAction.at_depth(self.DEPTH)
+        perms = {"": tuple(range(1 << self.DEPTH))}
+        for x in iter_reduced_words(self.WITNESS_LEN):
+            if x:
+                perms[x] = _compose(perms[x[:-1]], act.perms[x[-1]])
+        words_at = {}
+        for u in ws:
+            words_at.setdefault(perms[u], []).append(u)
+        found = {(u, v): 0 for u in ws for v in ws}
+        for x, px in perms.items():
+            pxi = _invert(px)
+            cx = coset(x, tables)
+            for v in ws:
+                # u = x^-1 v x
+                for u in words_at.get(_compose(_compose(pxi, perms[v]), px), ()):
+                    found[(u, v)] |= 1 << cx
+        return found
+
+    @pytest.mark.parametrize(
+        "parity, max_len, conjugate_pairs_expected",
+        [(1, 3, 64), (0, 4, 73)],
+        ids=["odd", "even"],
+    )
+    def test_q_equals_witness_cosets(self, tables, parity, max_len, conjugate_pairs_expected):
+        ws = [w for w in iter_reduced_words(max_len) if a_parity(w) == parity]
+        found = self.witness_cosets(ws, tables)
+        assert sum(1 for m in found.values() if m) == conjugate_pairs_expected
+        res = solve(ws, tables)
+        for (u, v), want in found.items():
+            assert res.q_set(u, v) == want, (u, v)
 
 
 class TestConjugatePairs:

@@ -1,17 +1,15 @@
 import pytest
 
 from conftest import rand_reduced
-from grigconj import quotient
 from grigconj.quotient import (
     FULL_MASK,
     IDENTITY_COSET,
     BuildDivergence,
     ConfigError,
-    Portrait,
     build_quotient,
     coset,
     derive_base_q,
-    generator_portraits,
+    generator_leaf_perms,
     lift_set_product,
     q_even,
     q_odd_cosets,
@@ -26,53 +24,12 @@ def bits(mask):
     return [g for g in range(16) if mask >> g & 1]
 
 
-class TestPortraits:
-    def test_identity(self):
-        e = Portrait.identity(3)
-        assert e.compose(e) == e
-        assert e.invert() == e
-        assert e.leaf_permutation() == tuple(range(8))
-
-    def test_compose_matches_leaf_action(self):
-        gp = generator_portraits(4)
-        x = gp["a"].compose(gp["d"]).compose(gp["b"])
-        want = x.leaf_permutation()
-        got = quotient._compose(
-            quotient._compose(gp["a"].leaf_permutation(), gp["d"].leaf_permutation()),
-            gp["b"].leaf_permutation(),
-        )
-        assert want == got
-
-    def test_inverse_roundtrip(self):
-        gp = generator_portraits(4)
-        x = gp["b"].compose(gp["a"]).compose(gp["c"]).compose(gp["a"])
-        assert x.compose(x.invert()) == Portrait.identity(4)
-        assert x.invert().compose(x) == Portrait.identity(4)
-
-    def test_composition_associative(self, rng):
-        gp = generator_portraits(3)
-        from conftest import rand_reduced
-
-        for _ in range(25):
-            ws = [rand_reduced(rng.randrange(1, 6), rng) or "a" for _ in range(3)]
-            def pw(w):
-                out = Portrait.identity(3)
-                for ch in w:
-                    out = out.compose(gp[ch])
-                return out
-            x, y, z = (pw(w) for w in ws)
-            assert x.compose(y).compose(z) == x.compose(y.compose(z))
-
-    def test_generators_are_involutions(self):
-        gp = generator_portraits(5)
-        for g in "abcd":
-            assert gp[g].compose(gp[g]) == Portrait.identity(5)
-
+class TestLeafPerms:
     def test_depth_one_action(self):
-        gp = generator_portraits(1)
-        assert gp["a"].leaf_permutation() == (1, 0)
+        perms = generator_leaf_perms(1)
+        assert perms["a"] == (1, 0)
         for g in "bcd":
-            assert gp[g].leaf_permutation() == (0, 1)
+            assert perms[g] == (0, 1)
 
 
 class TestBuild:
