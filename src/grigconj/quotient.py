@@ -17,6 +17,7 @@ calls ``q_odd_cosets`` and builds the even case lazily from the same
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field, replace
 
 from .words import equal, inverse, iter_reduced_words, product
@@ -398,11 +399,14 @@ def derive_base_q(tables: QuotientTables, max_witness_len: int = 24) -> dict:
 
 
 _TABLES: QuotientTables | None = None
+_TABLES_LOCK = threading.Lock()
 
 
 def get_tables() -> QuotientTables:
-    """Process-wide tables, built on first use."""
+    """Process-wide tables, built once, on first use, by one thread."""
     global _TABLES
     if _TABLES is None:
-        _TABLES = build_quotient()
+        with _TABLES_LOCK:
+            if _TABLES is None:
+                _TABLES = build_quotient()
     return _TABLES

@@ -14,6 +14,8 @@ per-level length recurrence are asserted on every call.
 
 from __future__ import annotations
 
+import threading
+
 from . import engine
 from .quotient import QuotientTables, coset, get_tables, mask_cosets
 from .words import (
@@ -196,12 +198,16 @@ def build_base_conj_table(
 
 
 _BASE: BaseConjTable | None = None
+_BASE_LOCK = threading.Lock()
 
 
 def get_base_table() -> BaseConjTable:
+    """Process-wide base table, built once, on first use, by one thread."""
     global _BASE
     if _BASE is None:
-        _BASE = build_base_conj_table()
+        with _BASE_LOCK:
+            if _BASE is None:
+                _BASE = build_base_conj_table()
     return _BASE
 
 

@@ -10,34 +10,84 @@ Two reducers: :func:`reduce` rewrites an arbitrary letter sequence in one
 linear pass, while :func:`product` multiplies two words that are already
 reduced, where only the letters at the junction can cancel or merge.
 
+The letter kernel works on star runs, not letters.  The stars ``b, c, d``
+with the identity form the Klein four-group: coded b=1, c=2, d=3, the
+group law is XOR.  :func:`reduce` splits its input on ``a`` and replaces
+each run by its product (a dict lookup for runs of up to
+``_RUN_TABLE_MAX`` stars, letter counts beyond).  What is left is
+reduced except where a run multiplied out to the identity between two
+a's; one stack pass cancels those a's and merges the runs on either side.
+Every run is pushed and popped at most once, so the pass is linear, and
+the runs between two identity runs are pushed as one slice, so the
+Python-level work is one step per identity run and per merge it sets off.
+
+:func:`phi_pair` builds both level-1 sections with C-level string passes.
+In a reduced word the stars sit at positions of one parity, and the k-th
+star has the a-parity of k plus the word's leading a.  One ``bytearray``
+slice assignment upper-cases the stars of odd a-parity; then each section
+is one ``bytes.translate`` of the tagged word, through the a-map
+(b, c -> a, d -> deleted) for one case and the sigma-map (b -> c, c -> d,
+d -> b) for the other, deleting the a's, and is reduced with the run
+stack.  Unreduced input is reduced first.  This changes nothing: the
+letters multiply in the free product Z2 * V4 (``a`` and the stars), where
+reduced words are the normal forms, and the section map is a homomorphism
+of that free product, so a word and its reduction have sections that are
+equal there and reduce to the same words.
+
+The string passes cost a few microseconds per call whatever the length,
+more than a per-letter loop costs on words of a handful of letters, and
+the splitting recursions call ``phi_pair`` mostly on such words (and on
+the same ones over and over).  So a memo in front of the kernel keeps the
+sections of reduced even words of at most ``_MEMO_MAX_LEN`` = 12 letters:
+at most 2185 entries, whatever the input.
+
 All functions in this module are pure; strings are immutable, so values
-can be shared freely between threads.
+can be shared freely between threads (the memo only ever gains entries
+equal to what a fresh computation returns).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product as _iproduct
 
 LETTERS = "abcd"
 STARS = "bcd"
 
-# Rewriting rules: every generator is an involution and any two distinct
-# letters of {b, c, d} multiply to the third.
-_MERGE = {
-    "aa": "", "bb": "", "cc": "", "dd": "",
-    "bc": "d", "cb": "d",
-    "cd": "b", "dc": "b",
-    "bd": "c", "db": "c",
-}
+# Products in the Klein four-group {1, b, c, d} (b=1, c=2, d=3, XOR), keyed
+# by the run of stars and valued by the product's letter ("" for 1).  The
+# dict covers every run of up to _RUN_TABLE_MAX stars; longer runs are
+# counted.  Keys of two letters also serve as the merge table of
+# product() and of the run stack.
+_RUN_TABLE_MAX = 6
+_KLEIN_LETTER = ("", "b", "c", "d")
 
-# Images of the level-1 sections.  A star letter preceded by an even
-# number of a's contributes via the plain generator, an odd number via
-# the a-conjugated one:
-#   psi(b) = (a, c)    psi(aba) = (c, a)
-#   psi(c) = (a, d)    psi(aca) = (d, a)
-#   psi(d) = (1, b)    psi(ada) = (b, 1)
-_PHI0 = ({"b": "a", "c": "a", "d": ""}, {"b": "c", "c": "d", "d": "b"})
-_PHI1 = (_PHI0[1], _PHI0[0])
+
+def _klein_product(run: str) -> str:
+    code = (run.count("b") & 1) ^ (run.count("c") & 1) * 2 ^ (run.count("d") & 1) * 3
+    return _KLEIN_LETTER[code]
+
+
+class _RunProducts(dict):
+    def __missing__(self, run: str) -> str:
+        return _klein_product(run)
+
+
+_RUN = _RunProducts(
+    (run, _klein_product(run))
+    for n in range(_RUN_TABLE_MAX + 1)
+    for run in map("".join, _iproduct(STARS, repeat=n))
+)
+
+# Section images of a star: lower case after an even number of a's,
+# upper case after an odd number (phi_pair tags those).  Section 0 sends
+# even stars through the a-map (b, c -> a, d -> deleted) and odd ones
+# through the sigma-map (b -> c, c -> d, d -> b); section 1 the other way.
+_PHI0 = bytes.maketrans(b"bcBCD", b"aacdb")
+_PHI1 = bytes.maketrans(b"bcdBC", b"cdbaa")
+
+_MEMO_MAX_LEN = 12
+_SECTIONS: dict[str, tuple[str, str]] = {}
 
 
 class InvalidCharacter(ValueError):
@@ -101,38 +151,44 @@ TABULATED_WEIGHTS = NormWeights.tabulated()
 
 def is_reduced(w: str) -> bool:
     """True when letters alternate between 'a' and {b, c, d}."""
-    for i, ch in enumerate(w):
-        if ch not in LETTERS:
-            return False
-        if i and (ch == "a") == (w[i - 1] == "a"):
-            return False
-    return True
+    st = w[:1] == "a"
+    return not w[st::2].strip(STARS) and not w[1 - st::2].strip("a")
 
 
-def reduce(letters) -> str:
+def reduce(letters: str) -> str:
     """Rewrite a letter sequence to its reduced form.
 
-    Single left-to-right pass keeping a stack of emitted letters; after
-    each merge the new stack top is re-examined, so runtime is linear in
-    the input length.  The result is a word equal to the input in the
-    group, with norm no larger than the input's.
+    Each maximal run of stars becomes its Klein four-group product; a run
+    that multiplies out to the identity between two a's cancels both and
+    merges its neighbours, on a stack (see the module docstring).  The
+    result is a word equal to the input in the group, with norm no larger
+    than the input's.
     """
-    out = []
-    merge = _MERGE
-    for ch in letters:
-        while out:
-            r = merge.get(out[-1] + ch)
-            if r is None:
-                break
-            out.pop()
-            if r:
-                ch = r
-            else:
-                ch = ""
-                break
-        if ch:
-            out.append(ch)
-    return "".join(out)
+    runs = letters.split("a")
+    if len(runs) == 1:
+        return _RUN[letters]
+    codes = list(map(_RUN.__getitem__, runs))
+    out = "a".join(codes)
+    if "aa" not in out:
+        return out
+    # Invariant: no identity run in ``stack`` except its bottom (a leading
+    # a) and its top, which cancels against the next run unless it is the
+    # bottom.  The runs up to the next identity run are pushed as one slice.
+    n = len(codes)
+    codes.append("")
+    stack = []
+    i = 0
+    while True:
+        j = codes.index("", i) + 1
+        if j > n:
+            stack += codes[i:n]
+            return "a".join(stack)
+        stack += codes[i:j]
+        i = j
+        while i < n and not stack[-1] and len(stack) > 1:
+            stack.pop()
+            stack[-1] = _RUN[stack[-1] + codes[i]]
+            i += 1
 
 
 def product(u: str, v: str) -> str:
@@ -167,7 +223,7 @@ def product(u: str, v: str) -> str:
     if k < m:
         x, y = u[n - k - 1], v[k]
         if x != "a" and y != "a":
-            return "".join((u[: n - k - 1], _MERGE[x + y], v[k + 1 :]))
+            return "".join((u[: n - k - 1], _RUN[x + y], v[k + 1 :]))
     return u[: n - k] + v[k:]
 
 
@@ -211,22 +267,34 @@ def norm(w: str, weights: NormWeights = EXACT_WEIGHTS) -> float:
 def phi_pair(w: str) -> tuple[str, str]:
     """Both level-1 sections (phi0(w), phi1(w)) of a word with even a-count.
 
-    Single scan over the star letters; the parity of preceding a's picks
-    which generator image each star contributes.
+    A star preceded by an even number of a's contributes its plain
+    section images, an odd number the a-conjugated ones:
+      psi(b) = (a, c)    psi(aba) = (c, a)
+      psi(c) = (a, d)    psi(aca) = (d, a)
+      psi(d) = (1, b)    psi(ada) = (b, 1)
+    Each section is one ``bytes.translate`` of the word with its odd
+    stars tagged (see the module docstring); short reduced words are
+    memoized.
     """
+    got = _SECTIONS.get(w)
+    if got is not None:
+        return got
+    if not is_reduced(w):
+        w = reduce(w)
     if a_parity(w):
         raise NotInStabilizer(f"{w!r} has odd a-count")
-    p = 0
-    img0 = []
-    img1 = []
-    phi0, phi1 = _PHI0, _PHI1
-    for ch in w:
-        if ch == "a":
-            p ^= 1
-        else:
-            img0.append(phi0[p][ch])
-            img1.append(phi1[p][ch])
-    return reduce("".join(img0)), reduce("".join(img1))
+    # The stars sit at positions st, st + 2, ... (st = 1 after a leading
+    # a); the k-th follows st + k a's, so the odd ones sit at 2 - st + 4j.
+    tagged = bytearray(w, "ascii")
+    odd = slice(2 - (w[:1] == "a"), None, 4)
+    tagged[odd] = tagged[odd].upper()
+    got = (
+        reduce(tagged.translate(_PHI0, b"ad").decode()),
+        reduce(tagged.translate(_PHI1, b"aD").decode()),
+    )
+    if len(w) <= _MEMO_MAX_LEN:
+        _SECTIONS[w] = got
+    return got
 
 
 def split_children(w: str) -> list[str]:

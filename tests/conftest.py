@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -34,3 +37,41 @@ def rand_reduced(length: int, rng: random.Random) -> str:
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def get_from_threads(monkeypatch, module, cache_name, builder_name, getter, threads=4):
+    """Call ``getter`` from ``threads`` threads at once, with
+    ``module.cache_name`` unset and ``module.builder_name`` replaced by a
+    slow build that counts its calls.
+
+    Returns (number of builds, the results, the built object).
+    """
+    built = object()
+    builds = []
+
+    def slow_build():
+        builds.append(threading.get_ident())
+        time.sleep(0.05)
+        return built
+
+    monkeypatch.setattr(module, cache_name, None)
+    monkeypatch.setattr(module, builder_name, slow_build)
+    start = threading.Barrier(threads)
+    results = [None] * threads
+
+    def run(k):
+        start.wait(timeout=10)
+        results[k] = getter()
+
+    workers = [threading.Thread(target=run, args=(k,)) for k in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    return len(builds), results, built

@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import rand_reduced
+from conftest import get_from_threads, rand_reduced
+from grigconj import quotient
 from grigconj.quotient import (
     FULL_MASK,
     IDENTITY_COSET,
@@ -227,3 +228,12 @@ class TestBaseQ:
             assert any(
                 tables.mul[tables.mul[tables.inv[t]][cw]][t] == cu for t in range(16)
             )
+
+
+class TestGetTables:
+    def test_concurrent_callers_build_once(self, monkeypatch):
+        builds, results, built = get_from_threads(
+            monkeypatch, quotient, "_TABLES", "build_quotient", quotient.get_tables
+        )
+        assert builds == 1
+        assert all(r is built for r in results)

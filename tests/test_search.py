@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import rand_reduced
+from conftest import get_from_threads, rand_reduced
 from grigconj import engine
 from grigconj import search as search_mod
 from grigconj.quotient import IDENTITY_COSET, coset
@@ -229,3 +229,12 @@ class TestBaseTableCompleteness:
         # Length-1 witnesses cannot cover every slot.
         with pytest.raises(search_mod.BaseIncomplete):
             build_base_conj_table(tables, max_len=1)
+
+
+class TestGetBaseTable:
+    def test_concurrent_callers_build_once(self, monkeypatch):
+        builds, results, built = get_from_threads(
+            monkeypatch, search_mod, "_BASE", "build_base_conj_table", search_mod.get_base_table
+        )
+        assert builds == 1
+        assert all(r is built for r in results)
