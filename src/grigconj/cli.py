@@ -275,7 +275,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (words.InvalidCharacter, OSError) as exc:
+    except (words.InvalidCharacter, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (quotient.ConfigError, quotient.BuildDivergence) as exc:

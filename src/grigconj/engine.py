@@ -44,7 +44,7 @@ from .quotient import (
     set_inv,
     set_mul,
 )
-from .words import a_parity, parse, phi_pair, product, shortlex_key
+from .words import parse, shortlex_key, split
 
 ROW_CAPACITY = 256
 
@@ -63,7 +63,9 @@ class WordRecord:
     __slots__ = (
         "word", "even",
         "child0", "child1",          # section records (even words)
-        "child", "oc0", "oc1",       # product record + section cosets (odd words)
+        # Odd words: the record of y = s0·s1, where (s0, s1) are the
+        # sections of w·a, then s0 and s1 and their cosets.
+        "child", "sec0", "sec1", "oc0", "oc1",
         "rep", "q_to_rep", "processed",
     )
 
@@ -73,6 +75,7 @@ class WordRecord:
         self.child0 = None
         self.child1 = None
         self.child = None
+        self.sec0 = self.sec1 = ""
         self.oc0 = IDENTITY_COSET
         self.oc1 = IDENTITY_COSET
         self.rep = None
@@ -294,18 +297,17 @@ def collect_universe(inputs, table: ConjTable) -> list:
         rec = lam1[w] = WordRecord(w)
         words_out.append(w)
         table.ops += len(w) + 1   # the insert
-        if a_parity(w) == 0:
-            w0, w1 = phi_pair(w)
-            rec.even = True
+        w0, w1, y = split(w)
+        if y is None:
             rec.child0 = w0
             rec.child1 = w1
             stack.append(w0)
             stack.append(w1)
         else:
-            w0, w1 = phi_pair(product(w, "a"))
-            y = product(w0, w1)
             rec.even = False
             rec.child = y
+            rec.sec0 = w0
+            rec.sec1 = w1
             rec.oc0 = coset(w0, t)
             rec.oc1 = coset(w1, t)
             table.ops += len(w0) + len(w1)

@@ -9,9 +9,11 @@ bitmasks, so every Q-set operation is a bounded table walk.
 
 This module is the single home of the two finite Q formulas: ``q_even``
 and ``q_odd_cosets`` give Q of a word pair from the Q-sets and cosets of
-its sections.  The engine calls both; the direct recursion in ``oracle``
-calls ``q_odd_cosets`` and builds the even case lazily from the same
-``lift_set_product`` and ``shift_a``.
+its sections.  The engine calls both formulas to build Q-sets; the
+conjugator search calls them on single cosets to pick the section cosets
+of a witness; the direct recursion in ``oracle`` calls ``q_odd_cosets``
+and builds the even case lazily from the same ``lift_set_product`` and
+``shift_a``.
 """
 
 from __future__ import annotations

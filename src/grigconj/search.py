@@ -3,8 +3,12 @@
 Two ingredients: a lifting step that assembles a word with prescribed
 level-1 sections out of the substitutions tau0/tau1 and a dihedral
 correction, and a recursion over the four parity cases of the
-coordinate-wise conjugacy systems, steered by the Q-sets the engine
-computed.  The recursion bottoms out in the finite universe of words of
+coordinate-wise conjugacy systems.  The recursion reads the solve of the
+input pair: it walks down the splitting tree the engine built, takes each
+word's sections, product word and section cosets from the engine's
+records, and picks the section cosets of a witness by evaluating
+``quotient.q_even`` or ``quotient.q_odd_cosets`` on single cosets of the
+stored Q-sets.  It bottoms out in the finite universe of words of
 norm < 9, whose conjugators are tabulated once by brute force.
 
 Every returned conjugator is verified against the word problem before it
@@ -17,9 +21,17 @@ from __future__ import annotations
 import threading
 
 from . import engine
-from .quotient import QuotientTables, coset, get_tables, mask_cosets
+from .quotient import (
+    FULL_MASK,
+    QuotientTables,
+    coset,
+    get_tables,
+    lift_set_product,
+    mask_cosets,
+    q_even,
+    q_odd_cosets,
+)
 from .words import (
-    a_parity,
     equal,
     inverse,
     iter_reduced_words,
@@ -219,65 +231,58 @@ class _Searcher:
         self.solved = solved
         self.t = tables
         self.base = base
+        # The lift lands in the cosets of even a-count, the a-shift in the
+        # others, so the parity of a target coset picks the one term of a
+        # Q formula that can produce it.
+        self.even_cosets = lift_set_product(FULL_MASK, FULL_MASK, tables)
 
     def find(self, u: str, v: str, g: int) -> str:
-        """x with u = x^-1 v x and coset(x) = g; g must lie in Q(u, v)."""
+        """x with u = x^-1 v x and coset(x) = g; g must lie in Q(u, v).
+
+        The sections, product words and section cosets are the ones the
+        solve stored; witness section cosets are picked by evaluating
+        the Q formula on single cosets.
+        """
         t = self.t
         if norm(u) < 9.0 and norm(v) < 9.0:
             return self.base.conjugator(u, v, g)
-        if a_parity(u) != a_parity(v):
+        ru, rv = self.solved.record(u), self.solved.record(v)
+        if ru.even != rv.even:
             raise AssertionError("mismatched parities cannot be conjugate")
-        mul, inv, lift = t.mul, t.inv, t.lift
-        ca = t.gen_coset["a"]
-        if a_parity(u) == 0:
-            u0, u1 = phi_pair(u)
-            v0, v1 = phi_pair(v)
-            q00 = self.solved.q_set(u0, v0)
-            q11 = self.solved.q_set(u1, v1)
-            for g0 in mask_cosets(q00):
-                row = g0 << 4
-                for g1 in mask_cosets(q11):
-                    if lift[row | g1] == g:
+        q_set = self.solved.q_set
+        direct = self.even_cosets >> g & 1
+        if ru.even:
+            u0, u1 = ru.child0.word, ru.child1.word
+            v0, v1 = rv.child0.word, rv.child1.word
+            if not direct:
+                # The cross term pairs u1 with v0 and u0 with v1.
+                u0, u1 = u1, u0
+            for g0 in mask_cosets(q_set(u0, v0)):
+                for g1 in mask_cosets(q_set(u1, v1)):
+                    m0, m1 = 1 << g0, 1 << g1
+                    q = q_even(m0, m1, 0, 0, t) if direct else q_even(0, 0, m0, m1, t)
+                    if q >> g & 1:
                         x0 = self.find(u0, v0, g0)
                         x1 = self.find(u1, v1, g1)
                         x = lift_word(x0, x1, t)
-                        return self._check(u, v, g, x, max(len(x0), len(x1)))
-            q10 = self.solved.q_set(u1, v0)
-            q01 = self.solved.q_set(u0, v1)
-            for g0 in mask_cosets(q10):
-                row = g0 << 4
-                for g1 in mask_cosets(q01):
-                    h = lift[row | g1]
-                    if h >= 0 and mul[h][ca] == g:
-                        x0 = self.find(u1, v0, g0)
-                        x1 = self.find(u0, v1, g1)
-                        x = product(lift_word(x0, x1, t), "a")
+                        if not direct:
+                            x = product(x, "a")
                         return self._check(u, v, g, x, max(len(x0), len(x1)))
             raise AssertionError(f"no section cosets produce {g} for ({u!r}, {v!r})")
-        u0, u1 = phi_pair(product(u, "a"))
-        v0, v1 = phi_pair(product(v, "a"))
-        p = product(u0, u1)
-        q = product(v0, v1)
-        q_prod = self.solved.q_set(p, q)
-        cu1 = coset(u1, t)
-        cv0 = coset(v0, t)
-        cv1 = coset(v1, t)
-        iu1 = inv[cu1]
-        for gp in mask_cosets(q_prod):
-            # Even conjugator: x = (x0, v1 x0 u1^-1).
-            h = lift[(gp << 4) | mul[cv1][mul[gp][iu1]]]
-            if h == g:
-                x0 = self.find(p, q, gp)
-                x1 = product(product(v1, x0), inverse(u1))
-                x = lift_word(x0, x1, t)
-                return self._check(u, v, g, x, len(x0))
-            # Odd conjugator: x·a has sections (z u1^-1, v1 z u1^-1 u0^-1).
-            h = lift[(mul[gp][iu1] << 4) | mul[inv[cv0]][gp]]
-            if h >= 0 and mul[h][ca] == g:
+        p, q = ru.child.word, rv.child.word
+        u0, u1, v1 = ru.sec0, ru.sec1, rv.sec1
+        for gp in mask_cosets(q_set(p, q)):
+            if q_odd_cosets(1 << gp, ru.oc1, rv.oc0, rv.oc1, t) >> g & 1:
                 z = self.find(p, q, gp)
-                x0 = product(z, inverse(u1))
-                x1 = product(product(v1, x0), inverse(u0))
-                x = product(lift_word(x0, x1, t), "a")
+                if direct:
+                    # Even conjugator: x = (z, v1 z u1^-1).
+                    x1 = product(product(v1, z), inverse(u1))
+                    x = lift_word(z, x1, t)
+                else:
+                    # Odd conjugator: x·a has sections (z u1^-1, v1 z u1^-1 u0^-1).
+                    x0 = product(z, inverse(u1))
+                    x1 = product(product(v1, x0), inverse(u0))
+                    x = product(lift_word(x0, x1, t), "a")
                 return self._check(u, v, g, x, len(z))
         raise AssertionError(f"no product coset produces {g} for ({u!r}, {v!r})")
 

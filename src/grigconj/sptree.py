@@ -44,85 +44,62 @@ class SplitTree:
             stack.extend(node.children)
 
 
-def _materialize(top, expand, label) -> SplitNode:
-    """Build the SplitNode tree below ``top`` without recursion.
+def _walk(w: str, weights: NormWeights, floor: float, keep: bool) -> SplitTree:
+    """Totals over the vertices of norm >= ``floor`` in the splitting tree
+    of ``w``, and their SplitNode tree when ``keep`` (else ``root`` is None).
 
-    ``expand(item)`` lists an item's children left to right and
-    ``label(item)`` gives its (word, label_norm).  Items are expanded top
-    down, so parents get lower indices than their descendants, and nodes
-    are built bottom up.
+    One depth-first walk over words, without recursion; it pops children
+    right to left, and the totals are summed in that order.  It asserts
+    that no vertex of norm >= ``floor`` has a lighter ancestor.
     """
-    nodes: list = []
-    stack = [(top, None)]
+    nodes: list = []    # (word, norm, kid indices right to left)
+    count = letters = height = 0
+    total = 0.0
+    # (word, parent node index, depth, whether no ancestor is below floor)
+    stack = [(w, -1, 0, True)]
     while stack:
-        item, parent = stack.pop()
-        i = len(nodes)
-        nodes.append((item, []))
-        if parent is not None:
-            nodes[parent][1].append(i)
-        for child in reversed(expand(item)):
-            stack.append((child, i))
-    # Kids were recorded in pop order, i.e. left to right.
+        u, parent, depth, heavy_path = stack.pop()
+        n = norm(u, weights)
+        heavy = n >= floor
+        if heavy:
+            if not heavy_path:
+                raise AssertionError(f"norm >= {floor} vertices do not form a connected subtree")
+            count += 1
+            total += n
+            letters += len(u)
+            if depth > height:
+                height = depth
+            if keep:
+                if parent >= 0:
+                    nodes[parent][2].append(len(nodes))
+                parent = len(nodes)
+                nodes.append((u, n, []))
+        for c in split_children(u):
+            stack.append((c, parent, depth + 1, heavy_path and heavy))
+    # Children get higher indices than their parents: build bottom up.
     built: list = [None] * len(nodes)
     for i in range(len(nodes) - 1, -1, -1):
-        item, kids = nodes[i]
-        built[i] = SplitNode(*label(item), tuple(built[j] for j in kids))
-    return built[0]
-
-
-def _summarize(root: SplitNode) -> SplitTree:
-    """The tree rooted at ``root`` with its size, norm, letter and height
-    totals, in one pass."""
-    count = 0
-    total = 0.0
-    letters = 0
-    height = 0
-    stack = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        count += 1
-        total += node.label_norm
-        letters += len(node.word)
-        if depth > height:
-            height = depth
-        for c in node.children:
-            stack.append((c, depth + 1))
-    return SplitTree(root, count, total, letters, height)
+        u, n, kids = nodes[i]
+        built[i] = SplitNode(u, n, tuple(built[j] for j in reversed(kids)))
+    return SplitTree(built[0] if nodes else None, count, total, letters, height)
 
 
 def build_tree(w: str, weights: NormWeights = EXACT_WEIGHTS) -> SplitTree:
     """Materialize the full splitting tree of ``w``.
 
     Every vertex is kept, repeats included: trees are not DAGs.
-    Construction is iterative so the recursion depth of deep trees never
-    hits the interpreter limit.
     """
-    return _summarize(_materialize(w, split_children, lambda u: (u, norm(u, weights))))
+    return _walk(w, weights, 0.0, True)
 
 
 def build_tree9(w: str, weights: NormWeights = EXACT_WEIGHTS) -> SplitTree:
-    """The subtree of the splitting tree on vertices of norm >= 9.
+    """Totals of the subtree of the splitting tree on vertices of norm >= 9.
 
-    Empty when the root is already below 9.  Connectivity of the induced
-    subgraph is asserted: every norm >= 9 vertex of the full tree must be
-    reachable from the root through norm >= 9 vertices.
+    No node is built: ``root`` is None, and the totals are zero when the
+    root is already below 9.  The walk covers the full tree to assert
+    that the norm >= 9 vertices are connected to the root.
     """
-    full = build_tree(w, weights)
-    heavy_total = sum(1 for node in full if node.label_norm >= 9.0)
-    if full.root.label_norm < 9.0:
-        if heavy_total:
-            raise AssertionError("norm >= 9 vertex below a light root")
-        return SplitTree(None, 0, 0.0, 0, 0)
-    tree = _summarize(
-        _materialize(
-            full.root,
-            lambda node: [c for c in node.children if c.label_norm >= 9.0],
-            lambda node: (node.word, node.label_norm),
-        )
-    )
-    if tree.vertex_count != heavy_total:
-        raise AssertionError("norm >= 9 vertices do not form a connected subtree")
-    return tree
+    return _walk(w, weights, 9.0, False)
 
 
 def tree_height(u: str, v: str, weights: NormWeights = EXACT_WEIGHTS) -> int:

@@ -297,6 +297,17 @@ def phi_pair(w: str) -> tuple[str, str]:
     return got
 
 
+def split(w: str) -> tuple[str, str, str | None]:
+    """One splitting step of a reduced word: ``(w0, w1, None)`` with the
+    two sections of ``w`` when its a-count is even, otherwise
+    ``(s0, s1, y)`` with the sections of ``w·a`` and their reduced
+    product ``y = s0·s1``."""
+    if a_parity(w) == 0:
+        return (*phi_pair(w), None)
+    s0, s1 = phi_pair(product(w, "a"))
+    return s0, s1, product(s0, s1)
+
+
 def split_children(w: str) -> list[str]:
     """Children of ``w`` in its splitting tree.
 
@@ -306,10 +317,8 @@ def split_children(w: str) -> list[str]:
     """
     if len(w) <= 1:
         return []
-    if a_parity(w) == 0:
-        return list(phi_pair(w))
-    w0, w1 = phi_pair(product(w, "a"))
-    return [product(w0, w1)]
+    w0, w1, y = split(w)
+    return [w0, w1] if y is None else [y]
 
 
 def is_identity(w: str) -> bool:

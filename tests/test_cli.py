@@ -87,6 +87,17 @@ class TestPairsCommand:
     def test_missing_file(self, capsys):
         assert cli.run(["pairs", "/nonexistent/file.txt"]) == 2
 
+    def test_file_not_utf8_is_an_error(self, tmp_path, capsys):
+        f = tmp_path / "words.txt"
+        f.write_bytes(b"aba\n\xff\xfeb\n")
+        for extra in ([], ["--json"]):
+            assert cli.run(extra + ["pairs", str(f)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert "utf-8" in lines[0]
+
 
 class TestConjugatorCommand:
     def test_finds_and_verifies(self, capsys):

@@ -20,6 +20,7 @@ from grigconj.words import (
     equal,
     inverse,
     iter_reduced_words,
+    norm,
     phi_pair,
     reduce,
 )
@@ -189,10 +190,18 @@ class TestFindConjugator:
             assert equal(u, reduce(inverse(got) + v + got))
 
     def test_coset_targeting(self, tables, base_table, rng):
-        for _ in range(8):
-            v = rand_reduced(rng.randrange(2, 20), rng)
-            x = rand_reduced(rng.randrange(0, 12), rng)
+        # Every coset of Q(u, v), on pairs whose top words are above the
+        # base table, for both a-parities: the search picks the term of
+        # the Q formula by the parity of the target coset.
+        pairs = {0: 0, 1: 0}
+        seen = set()
+        while min(pairs.values()) < 6:
+            v = rand_reduced(rng.randrange(16, 48), rng)
+            x = rand_reduced(rng.randrange(0, 16), rng)
             u = reduce(inverse(x) + v + x)
+            if norm(u) < 9 or norm(v) < 9 or pairs[a_parity(v)] >= 6:
+                continue
+            pairs[a_parity(v)] += 1
             q = engine.q_set(u, v, tables)
             for g in range(16):
                 if q >> g & 1:
@@ -200,6 +209,8 @@ class TestFindConjugator:
                     assert got is not None
                     assert coset(got, tables) == g
                     assert equal(u, reduce(inverse(got) + v + got))
+                    seen.add((a_parity(v), a_parity(got)))
+        assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_identity_pairs(self, tables, base_table):
         got = find_conjugator("adadadad", "", tables=tables, base=base_table)

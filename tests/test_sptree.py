@@ -55,13 +55,24 @@ class TestTree9:
         assert t9.vertex_count == 0
         assert t9.root is None
 
-    def test_heavy_word_keeps_root(self, rng):
+    def test_heavy_word_counts_root(self, rng):
+        seen = 0
         for _ in range(30):
             w = rand_reduced(rng.randrange(10, 120), rng)
             if norm(w) < 9:
                 continue
             t9 = sptree.build_tree9(w)
-            assert t9.root is not None and t9.root.word == w
+            assert t9.vertex_count >= 1
+            assert t9.total_label_len >= len(w)
+            assert t9.total_norm >= norm(w)
+            seen += 1
+        assert seen >= 20
+
+    def test_heavy_vertex_below_light_one_is_reported(self, monkeypatch):
+        # abab splits into ca and ac: a light root over heavy children.
+        monkeypatch.setattr(sptree, "norm", lambda u, weights: 1.0 if u == "abab" else 10.0)
+        with pytest.raises(AssertionError, match="connected"):
+            sptree.build_tree9("abab")
 
     def test_vertex_bound(self, rng):
         for _ in range(30):
