@@ -27,6 +27,10 @@ Ops model (``ops`` carries the paper's linearity claim):
   16, and each Q formula 256;
 - processing a word charges ``len(w) + 2``.
 
+The transport and the lift product are memoised on their masks inside
+``quotient``; ``ops`` charges 16 and 256 whether the memo hits or not,
+so it counts the algorithm's work and not the cache's.
+
 ``sorted`` orders the universe with O(L log m) character comparisons in C
 (L universe letters, m universe words), against the linear bucket pass of
 the prefix-tree sort it replaced.  The sort is not in ``ops``.
@@ -41,8 +45,7 @@ from .quotient import (
     get_tables,
     q_even,
     q_odd_cosets,
-    set_inv,
-    set_mul,
+    relative,
 )
 from .words import parse, shortlex_key, split
 
@@ -156,9 +159,8 @@ class ConjTable:
         representative r, in which case Q(x,y) = Q(y,r)^-1 Q(x,r)."""
         if x.rep is not y.rep:
             return 0
-        t = self.tables
         self.ops += 16
-        return set_mul(set_inv(y.q_to_rep, t), x.q_to_rep, t)
+        return relative(y.q_to_rep, x.q_to_rep, self.tables)
 
     def _q_against_even(self, rec: WordRecord, other: WordRecord) -> int:
         self.ops += 256

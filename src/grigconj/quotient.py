@@ -7,6 +7,15 @@ preimage, the lifting function on those pairs, and the base Q-sets of the
 five one-letter words.  Subsets of the 16 cosets are plain ints used as
 bitmasks, so every Q-set operation is a bounded table walk.
 
+The two operations on two masks that the engine and the search repeat,
+``relative`` (Q(y,r)^-1 Q(x,r)) and ``lift_set_product``, are memoised
+on the pair of masks in dicts carried by the tables and filled on first
+use.  Every Q-set is empty or the image of a coset of a centralizer, so
+each mask either is 0 or one of the 179 cosets of the 35 subgroups of
+the quotient, and each memo holds at most 180^2 keys.  Nothing is filled
+at build time.  The memos take no lock: two threads that miss on the
+same key both compute it, and both store the same value.
+
 This module is the single home of the two finite Q formulas: ``q_even``
 and ``q_odd_cosets`` give Q of a word pair from the Q-sets and cosets of
 its sections.  The engine calls both formulas to build Q-sets; the
@@ -97,7 +106,8 @@ class QuotientTables:
 
     ``lift`` is a 256-slot partial table indexed by g0 * 16 + g1 holding
     the coset of the preimage, or -1 when the pair has none; the defined
-    slots are exactly the relation L.
+    slots are exactly the relation L.  ``even_cosets`` is the image of
+    the lift, the cosets of words with an even a-count.
     """
 
     mul: tuple
@@ -106,7 +116,10 @@ class QuotientTables:
     lift: tuple
     base_q: dict
     stabilizer_depth: int
+    even_cosets: int
     _shift_a: tuple = field(repr=False, default=())
+    _relative: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _lift_product: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def pairs(self):
@@ -159,10 +172,29 @@ def shift_a(mask: int, tables: QuotientTables) -> int:
     return out
 
 
+def relative(qy: int, qx: int, tables: QuotientTables) -> int:
+    """Q(x, y) = Q(y,r)^-1 Q(x,r) from qy = Q(y,r) and qx = Q(x,r):
+    set_mul(set_inv(qy), qx), memoised on the two masks."""
+    key = qy << 16 | qx
+    memo = tables._relative
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = set_mul(set_inv(qy, tables), qx, tables)
+    return out
+
+
 def lift_set_product(s0: int, s1: int, tables: QuotientTables) -> int:
-    """lift(s0 x s1): at most 256 pair lookups, so constant time."""
+    """lift(s0 x s1): at most 256 pair lookups, memoised on the two masks."""
+    key = s0 << 16 | s1
+    memo = tables._lift_product
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = _lift_product_loop(s0, s1, tables.lift)
+    return out
+
+
+def _lift_product_loop(s0: int, s1: int, lift: tuple) -> int:
     out = 0
-    lift = tables.lift
     for g0 in range(16):
         if s0 >> g0 & 1:
             base = g0 << 4
@@ -352,6 +384,7 @@ def _tables_from_group(depth, gens, glist, group, closure) -> QuotientTables:
         lift=tuple(lift),
         base_q={},
         stabilizer_depth=depth,
+        even_cosets=_lift_product_loop(FULL_MASK, FULL_MASK, lift),
         _shift_a=shift,
     )
     return replace(tables, base_q=derive_base_q(tables))

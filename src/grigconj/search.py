@@ -22,11 +22,9 @@ import threading
 
 from . import engine
 from .quotient import (
-    FULL_MASK,
     QuotientTables,
     coset,
     get_tables,
-    lift_set_product,
     mask_cosets,
     q_even,
     q_odd_cosets,
@@ -231,10 +229,6 @@ class _Searcher:
         self.solved = solved
         self.t = tables
         self.base = base
-        # The lift lands in the cosets of even a-count, the a-shift in the
-        # others, so the parity of a target coset picks the one term of a
-        # Q formula that can produce it.
-        self.even_cosets = lift_set_product(FULL_MASK, FULL_MASK, tables)
 
     def find(self, u: str, v: str, g: int) -> str:
         """x with u = x^-1 v x and coset(x) = g; g must lie in Q(u, v).
@@ -250,7 +244,10 @@ class _Searcher:
         if ru.even != rv.even:
             raise AssertionError("mismatched parities cannot be conjugate")
         q_set = self.solved.q_set
-        direct = self.even_cosets >> g & 1
+        # The lift lands in the cosets of even a-count, the a-shift in the
+        # others, so the parity of a target coset picks the one term of a
+        # Q formula that can produce it.
+        direct = t.even_cosets >> g & 1
         if ru.even:
             u0, u1 = ru.child0.word, ru.child1.word
             v0, v1 = rv.child0.word, rv.child1.word
@@ -304,7 +301,13 @@ def find_conjugator(
     tables: QuotientTables | None = None,
     base: BaseConjTable | None = None,
 ):
-    """A verified x with u = x^-1 v x (and coset g when given), else None."""
+    """A verified x with u = x^-1 v x, else None.
+
+    When ``g`` is given, x must also lie in coset ``g``, a coset id in
+    0..15; any other ``g`` raises ``ValueError``.
+    """
+    if g is not None and not 0 <= g < 16:
+        raise ValueError(f"g must be a coset id in 0..15, got {g!r}")
     if tables is None:
         tables = get_tables()
     if base is None:

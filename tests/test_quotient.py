@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from conftest import get_from_threads, rand_reduced
-from grigconj import quotient
+from grigconj import engine, quotient, search
 from grigconj.quotient import (
     FULL_MASK,
     IDENTITY_COSET,
@@ -14,11 +16,12 @@ from grigconj.quotient import (
     lift_set_product,
     q_even,
     q_odd_cosets,
+    relative,
     set_inv,
     set_mul,
     shift_a,
 )
-from grigconj.words import a_parity, equal, inverse, phi_pair, reduce
+from grigconj.words import a_parity, equal, inverse, iter_reduced_words, phi_pair, reduce
 
 
 def bits(mask):
@@ -136,6 +139,12 @@ class TestSetOps:
             if t >= 0:
                 rng_mask |= 1 << t
         assert lift_set_product(FULL_MASK, FULL_MASK, tables) == rng_mask
+        assert tables.even_cosets == rng_mask
+
+    def test_even_cosets_are_the_even_words(self, tables, rng):
+        for _ in range(100):
+            w = rand_reduced(rng.randrange(0, 20), rng)
+            assert (tables.even_cosets >> coset(w, tables) & 1) == (a_parity(w) == 0)
 
     def test_set_mul_inverse_consistency(self, tables, rng):
         for _ in range(50):
@@ -237,3 +246,135 @@ class TestGetTables:
         )
         assert builds == 1
         assert all(r is built for r in results)
+
+
+# ---------------------------------------------------------------------------
+# Memoised mask operations and the coset invariant that bounds their memos.
+
+def subgroup_cosets(tables) -> set:
+    """(subgroups, cosets) as masks: every subgroup, and every left and
+    right coset of one, enumerated from the multiplication table.  Each
+    subgroup is reached from the trivial one by adding one element at a
+    time and closing under multiplication."""
+    mul = tables.mul
+
+    def closure(mask):
+        while True:
+            grown = mask
+            for g in bits(mask):
+                for h in bits(mask):
+                    grown |= 1 << mul[g][h]
+            if grown == mask:
+                return mask
+            mask = grown
+
+    subgroups = {closure(1 << IDENTITY_COSET)}
+    frontier = list(subgroups)
+    while frontier:
+        h = frontier.pop()
+        for g in range(16):
+            if not h >> g & 1:
+                k = closure(h | 1 << g)
+                if k not in subgroups:
+                    subgroups.add(k)
+                    frontier.append(k)
+    cosets = set()
+    for h in subgroups:
+        for g in range(16):
+            cosets.add(sum(1 << mul[g][x] for x in bits(h)))
+            cosets.add(sum(1 << mul[x][g] for x in bits(h)))
+    return subgroups, cosets
+
+
+def lift_product_by_loop(s0, s1, tables):
+    out = 0
+    for g0 in bits(s0):
+        for g1 in bits(s1):
+            t = tables.lift[g0 << 4 | g1]
+            if t >= 0:
+                out |= 1 << t
+    return out
+
+
+@pytest.fixture(scope="module")
+def coset_masks(tables):
+    """The cosets of all subgroups, plus the empty set."""
+    return subgroup_cosets(tables)[1] | {0}
+
+
+class TestCosetInvariant:
+    def test_subgroup_and_coset_counts(self, tables):
+        subgroups, cosets = subgroup_cosets(tables)
+        assert len(subgroups) == 35
+        assert len(cosets) == 179
+        assert all(h >> IDENTITY_COSET & 1 for h in subgroups)
+        assert FULL_MASK in subgroups
+
+    def test_engine_q_sets_and_memos_are_cosets(self, coset_masks, base_table):
+        fresh = build_quotient()
+        seen = []
+
+        def check(res):
+            for rec in res.table.lambda1.values():
+                seen.append(rec.q_to_rep)
+                assert rec.q_to_rep in coset_masks, rec.word
+
+        # The criterion 4 corpus: every reduced word of length <= 6, and
+        # planted conjugate pairs of length up to 200.
+        check(engine.solve(list(iter_reduced_words(6)), fresh))
+        rng = random.Random(41)
+        for _ in range(1000):
+            u = rand_reduced(rng.randrange(0, 201), rng)
+            x = rand_reduced(rng.randrange(0, 201), rng)
+            check(engine.solve([u, reduce(inverse(x) + u + x)], fresh))
+        # Seeded batches with planted conjugates, and conjugators found on
+        # some of those pairs (the search probes the memos with single
+        # cosets).
+        for seed in (1, 7, 21):
+            rng = random.Random(seed)
+            base = [rand_reduced(rng.randrange(20, 120), rng) for _ in range(30)]
+            planted = []
+            for i in rng.sample(range(len(base)), 8):
+                x = rand_reduced(rng.randrange(0, 40), rng)
+                planted.append((base[i], reduce(inverse(x) + base[i] + x)))
+            check(engine.solve(base + [v for _, v in planted], fresh))
+            for u, v in planted[:3]:
+                assert search.find_conjugator(u, v, tables=fresh, base=base_table) is not None
+        assert len(set(seen)) > 10
+
+        for memo in (fresh._relative, fresh._lift_product):
+            assert memo
+            assert len(memo) <= len(coset_masks) ** 2
+            for key, value in memo.items():
+                assert key >> 16 in coset_masks
+                assert key & FULL_MASK in coset_masks
+                assert value in coset_masks
+
+
+class TestMemos:
+    def test_memos_match_the_loops_on_miss_and_hit(self, coset_masks):
+        fresh = build_quotient()
+        fresh._relative.clear()
+        fresh._lift_product.clear()
+        masks = sorted(coset_masks)
+        expected = {}
+        for a in masks:
+            for b in masks:
+                expected[a, b] = (
+                    set_mul(set_inv(a, fresh), b, fresh),
+                    lift_product_by_loop(a, b, fresh),
+                )
+        for hit in (False, True):
+            for (a, b), (rel, lift) in expected.items():
+                key = a << 16 | b
+                assert (key in fresh._relative) == hit
+                assert (key in fresh._lift_product) == hit
+                assert relative(a, b, fresh) == rel
+                assert lift_set_product(a, b, fresh) == lift
+        assert len(fresh._relative) == len(fresh._lift_product) == len(masks) ** 2
+
+    def test_memos_are_per_table_and_not_compared(self, tables):
+        fresh = build_quotient()
+        assert fresh._relative is not tables._relative
+        assert fresh == tables
+        assert "_relative" not in repr(fresh)

@@ -180,6 +180,11 @@ class TestFindConjugator:
         missing = next(g for g in range(16) if not q >> g & 1)
         assert find_conjugator("b", "b", missing, tables=tables, base=base_table) is None
 
+    @pytest.mark.parametrize("g", [-1, 16])
+    def test_g_outside_coset_ids_raises(self, tables, base_table, g):
+        with pytest.raises(ValueError, match="g must be a coset id in 0..15"):
+            find_conjugator("aba", "b", g, tables=tables, base=base_table)
+
     def test_random_roundtrips_verify(self, tables, base_table, rng):
         for _ in range(40):
             v = rand_reduced(rng.randrange(0, 40), rng)
