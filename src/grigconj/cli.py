@@ -2,9 +2,10 @@
 
 Exit codes: 0 for YES/success, 1 for NO/absence, 2 for usage, parse, or
 I/O errors, 3 for a bad ``GRIG_MAX_DEPTH``, a quotient build that fails
-to certify, or an internal invariant violation.  Identity elements print
-as "1" to match the input syntax.  The global ``--json`` flag switches
-every command to a machine-readable single-object output.
+to certify, or any other exception (an internal invariant violation or
+a crash, reported as one ``error: internal: …`` line).  Identity
+elements print as "1" to match the input syntax.  The global ``--json``
+flag switches every command to a machine-readable single-object output.
 """
 
 from __future__ import annotations
@@ -256,17 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Invariant violations inside the library.  They must not reach the exit
-# codes 0/1, which read as answers.
-_INTERNAL_ERRORS = (
-    AssertionError,
-    engine.CapacityViolation,
-    search.LiftResidual,
-    search.BaseIncomplete,
-    quotient.SandwichGap,
-)
-
-
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -281,7 +271,10 @@ def run(argv=None) -> int:
     except (quotient.ConfigError, quotient.BuildDivergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _INTERNAL_ERRORS as exc:
+    except Exception as exc:
+        # Anything else is a fault inside the library (an invariant
+        # violation, or a crash); it must not reach the exit codes 0/1,
+        # which read as answers.
         detail = " ".join(str(exc).split())
         print(f"error: internal: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 3

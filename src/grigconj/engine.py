@@ -27,13 +27,16 @@ Ops model (``ops`` carries the paper's linearity claim):
   16, and each Q formula 256;
 - processing a word charges ``len(w) + 2``.
 
-The transport and the lift product are memoised on their masks inside
-``quotient``; ``ops`` charges 16 and 256 whether the memo hits or not,
-so it counts the algorithm's work and not the cache's.
+Inside ``quotient`` every Q-set operation on this path is a lookup in a
+memo filled on first use: the transport and the lift product on their
+two masks, and each term of the odd formula on the product Q-set and the
+two cosets it reads.  ``ops`` charges 16 and 256 whether a memo hits or
+not, so it counts the algorithm's work and not the cache's.
 
-``sorted`` orders the universe with O(L log m) character comparisons in C
-(L universe letters, m universe words), against the linear bucket pass of
-the prefix-tree sort it replaced.  The sort is not in ``ops``.
+``shortlex_order`` orders the universe with O(L log m) character
+comparisons in C (L universe letters, m universe words), against the
+linear bucket pass of the prefix-tree sort it replaced.  The sort is not
+in ``ops``.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .quotient import (
     q_odd_cosets,
     relative,
 )
-from .words import parse, shortlex_key, split
+from .words import parse, split
 
 ROW_CAPACITY = 256
 
@@ -284,6 +287,15 @@ class SolveResult:
         return self.table.max_row_size
 
 
+def shortlex_order(words: list) -> list:
+    """The words in shortlex order: shorter first, ties letter-wise
+    a<b<c<d.  A lexicographic sort, then a stable sort on length; both
+    passes run in C, with no Python key call per word."""
+    ordered = sorted(words)
+    ordered.sort(key=len)
+    return ordered
+
+
 def collect_universe(inputs, table: ConjTable) -> list:
     """Create records for every splitting-tree label of every input,
     returning them in shortlex processing order."""
@@ -324,7 +336,7 @@ def collect_universe(inputs, table: ConjTable) -> list:
         else:
             rec.child = lam1[rec.child]
             table.ops += len(w) + len(rec.child.word) + 2
-    ordered = sorted(words_out, key=shortlex_key)
+    ordered = shortlex_order(words_out)
     table.ops += sum(map(len, ordered)) + len(ordered)
     return [lam1[w] for w in ordered]
 

@@ -5,16 +5,26 @@ generators on the leaves of a finite tree level: the multiplication/inverse
 tables of the quotient, the set L of section-coset pairs that admit a
 preimage, the lifting function on those pairs, and the base Q-sets of the
 five one-letter words.  Subsets of the 16 cosets are plain ints used as
-bitmasks, so every Q-set operation is a bounded table walk.
+bitmasks, so every Q-set operation is a bounded table walk or lookup.
 
-The two operations on two masks that the engine and the search repeat,
-``relative`` (Q(y,r)^-1 Q(x,r)) and ``lift_set_product``, are memoised
-on the pair of masks in dicts carried by the tables and filled on first
-use.  Every Q-set is empty or the image of a coset of a centralizer, so
-each mask either is 0 or one of the 179 cosets of the 35 subgroups of
-the quotient, and each memo holds at most 180^2 keys.  Nothing is filled
-at build time.  The memos take no lock: two threads that miss on the
-same key both compute it, and both store the same value.
+Every Q formula on the engine's per-word path is a constant number of
+lookups in memos carried by the tables and filled on first use, so the
+loops below run once per distinct key:
+
+- ``relative`` (Q(y,r)^-1 Q(x,r)), keyed on the two masks;
+- ``lift_set_product``, keyed on the two masks;
+- the direct term of ``q_odd_cosets``, keyed on the product Q-set and
+  the cosets of u1 and v1;
+- its twisted term, a-shift applied, keyed on the product Q-set and the
+  cosets of u1 and v0.
+
+Every Q-set is empty or the image of a coset of a centralizer, so each
+mask key either is 0 or one of the 179 cosets of the 35 subgroups of
+the quotient.  The two-mask memos hold at most 180^2 keys each, the two
+odd-term memos at most 180·256.  Nothing is filled at build time apart
+from the two 256-entry byte tables of ``shift_a``.  The memos take no
+lock: two threads that miss on the same key both compute it, and both
+store the same value.
 
 This module is the single home of the two finite Q formulas: ``q_even``
 and ``q_odd_cosets`` give Q of a word pair from the Q-sets and cosets of
@@ -117,9 +127,12 @@ class QuotientTables:
     base_q: dict
     stabilizer_depth: int
     even_cosets: int
-    _shift_a: tuple = field(repr=False, default=())
+    _shift_lo: tuple = field(repr=False, default=())
+    _shift_hi: tuple = field(repr=False, default=())
     _relative: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _lift_product: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _q_odd_direct: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _q_odd_twisted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def pairs(self):
@@ -163,13 +176,9 @@ def set_mul(left: int, right: int, tables: QuotientTables) -> int:
 
 
 def shift_a(mask: int, tables: QuotientTables) -> int:
-    """Right-multiply every coset in the set by the coset of a."""
-    out = 0
-    sa = tables._shift_a
-    for g in range(16):
-        if mask >> g & 1:
-            out |= 1 << sa[g]
-    return out
+    """Right-multiply every coset in the set by the coset of a: one
+    lookup per byte of the mask."""
+    return tables._shift_lo[mask & 255] | tables._shift_hi[mask >> 8]
 
 
 def relative(qy: int, qx: int, tables: QuotientTables) -> int:
@@ -220,26 +229,50 @@ def q_even(q00: int, q11: int, q10: int, q01: int, tables: QuotientTables) -> in
 def q_odd_cosets(q_prod: int, cu1: int, cv0: int, cv1: int, tables: QuotientTables) -> int:
     """Q of an odd pair from Q(u0·u1, v0·v1) and the section cosets:
     lift{(g, v1·g·u1^-1)} u lift{(g·u1^-1, v0^-1·g)}a.
+
+    Each term is memoised on the product Q-set and the two cosets it
+    reads, at most 180·256 keys per memo.
     """
+    key = q_prod << 8 | cu1 << 4
+    memo = tables._q_odd_direct
+    direct = memo.get(key | cv1)
+    if direct is None:
+        direct = memo[key | cv1] = _q_odd_direct_loop(q_prod, cu1, cv1, tables)
+    memo = tables._q_odd_twisted
+    twisted = memo.get(key | cv0)
+    if twisted is None:
+        twisted = memo[key | cv0] = _q_odd_twisted_loop(q_prod, cu1, cv0, tables)
+    return direct | twisted
+
+
+def _q_odd_direct_loop(q_prod: int, cu1: int, cv1: int, tables: QuotientTables) -> int:
+    """lift{(g, v1·g·u1^-1) : g in q_prod}."""
     out = 0
-    acc2 = 0
     mul = tables.mul
-    inv = tables.inv
     lift = tables.lift
-    iu1 = inv[cu1]
-    iv0 = inv[cv0]
+    iu1 = tables.inv[cu1]
+    row = mul[cv1]
     for g in range(16):
         if q_prod >> g & 1:
-            gi = mul[g][iu1]
-            t = lift[(g << 4) | mul[cv1][gi]]
+            t = lift[(g << 4) | row[mul[g][iu1]]]
             if t >= 0:
                 out |= 1 << t
-            t = lift[(gi << 4) | mul[iv0][g]]
-            if t >= 0:
-                acc2 |= 1 << t
-    if acc2:
-        out |= shift_a(acc2, tables)
     return out
+
+
+def _q_odd_twisted_loop(q_prod: int, cu1: int, cv0: int, tables: QuotientTables) -> int:
+    """lift{(g·u1^-1, v0^-1·g) : g in q_prod}·a."""
+    out = 0
+    mul = tables.mul
+    lift = tables.lift
+    iu1 = tables.inv[cu1]
+    row = mul[tables.inv[cv0]]
+    for g in range(16):
+        if q_prod >> g & 1:
+            t = lift[(mul[g][iu1] << 4) | row[g]]
+            if t >= 0:
+                out |= 1 << t
+    return shift_a(out, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +409,15 @@ def _tables_from_group(depth, gens, glist, group, closure) -> QuotientTables:
                 seen.add(y)
                 queue.append(y)
 
-    shift = tuple(mul[g][gen_coset["a"]] for g in range(16))
+    # shift_a by bytes: the image of every mask of the low and the high
+    # eight cosets.
+    ca = gen_coset["a"]
+    shift_lo = [0] * 256
+    shift_hi = [0] * 256
+    for m in range(1, 256):
+        low = (m & -m).bit_length() - 1
+        shift_lo[m] = shift_lo[m & (m - 1)] | 1 << mul[low][ca]
+        shift_hi[m] = shift_hi[m & (m - 1)] | 1 << mul[low + 8][ca]
     tables = QuotientTables(
         mul=mul,
         inv=inv,
@@ -385,7 +426,8 @@ def _tables_from_group(depth, gens, glist, group, closure) -> QuotientTables:
         base_q={},
         stabilizer_depth=depth,
         even_cosets=_lift_product_loop(FULL_MASK, FULL_MASK, lift),
-        _shift_a=shift,
+        _shift_lo=tuple(shift_lo),
+        _shift_hi=tuple(shift_hi),
     )
     return replace(tables, base_q=derive_base_q(tables))
 

@@ -43,6 +43,9 @@ from .words import (
 TAU0 = {"a": "c", "b": "ada", "c": "aba", "d": "aca"}
 TAU1 = {"a": "aca", "b": "d", "c": "b", "d": "c"}
 _TAU_TRANS = (str.maketrans(TAU0), str.maketrans(TAU1))
+# phi1 of each tau0 image: every image lies in the level-1 stabilizer,
+# where phi1 is a homomorphism, so phi1(tau0(w)) is this letter map of w.
+_PHI1_TAU0 = str.maketrans({"a": "d", "b": None, "c": "a", "d": "a"})
 
 # States (k, e) of the order-8 group <a, d>: the element (ad)^k a^e.
 # Canonical reduced words for each state:
@@ -117,12 +120,15 @@ def lift_word(x0: str, x1: str, tables: QuotientTables | None = None) -> str:
     """
     if tables is None:
         tables = get_tables()
-    c0, c1 = coset(x0, tables), coset(x1, tables)
+    return _lift(x0, x1, coset(x0, tables), coset(x1, tables), tables)
+
+
+def _lift(x0: str, x1: str, c0: int, c1: int, tables: QuotientTables) -> str:
+    """``lift_word`` for sections whose cosets c0, c1 are known."""
     if tables.lift[(c0 << 4) | c1] < 0:
         raise NotLiftable(f"cosets of ({x0!r}, {x1!r}) are not a section pair")
     z0 = tau(0, x0)
-    _, d0raw = phi_pair(z0)
-    delta0 = dihedral_normalize(d0raw)
+    delta0 = dihedral_normalize(x0.translate(_PHI1_TAU0))
     z1 = tau(1, product(inverse(delta0), x1))
     x = product(z0, z1)
     if len(x) > 2 * (len(x0) + len(x1)) + 10:
@@ -235,7 +241,9 @@ class _Searcher:
 
         The sections, product words and section cosets are the ones the
         solve stored; witness section cosets are picked by evaluating
-        the Q formula on single cosets.
+        the Q formula on single cosets.  The cosets of the words lifted
+        follow from those by the quotient tables, so no word is walked
+        for its coset before the lift.
         """
         t = self.t
         if norm(u) < 9.0 and norm(v) < 9.0:
@@ -261,25 +269,30 @@ class _Searcher:
                     if q >> g & 1:
                         x0 = self.find(u0, v0, g0)
                         x1 = self.find(u1, v1, g1)
-                        x = lift_word(x0, x1, t)
+                        x = _lift(x0, x1, g0, g1, t)
                         if not direct:
                             x = product(x, "a")
                         return self._check(u, v, g, x, max(len(x0), len(x1)))
             raise AssertionError(f"no section cosets produce {g} for ({u!r}, {v!r})")
         p, q = ru.child.word, rv.child.word
         u0, u1, v1 = ru.sec0, ru.sec1, rv.sec1
+        mul = t.mul
+        iu0, iu1 = t.inv[ru.oc0], t.inv[ru.oc1]
         for gp in mask_cosets(q_set(p, q)):
             if q_odd_cosets(1 << gp, ru.oc1, rv.oc0, rv.oc1, t) >> g & 1:
                 z = self.find(p, q, gp)
                 if direct:
                     # Even conjugator: x = (z, v1 z u1^-1).
                     x1 = product(product(v1, z), inverse(u1))
-                    x = lift_word(z, x1, t)
+                    c1 = mul[mul[rv.oc1][gp]][iu1]
+                    x = _lift(z, x1, gp, c1, t)
                 else:
                     # Odd conjugator: x·a has sections (z u1^-1, v1 z u1^-1 u0^-1).
                     x0 = product(z, inverse(u1))
                     x1 = product(product(v1, x0), inverse(u0))
-                    x = product(lift_word(x0, x1, t), "a")
+                    c0 = mul[gp][iu1]
+                    c1 = mul[mul[rv.oc1][c0]][iu0]
+                    x = product(_lift(x0, x1, c0, c1, t), "a")
                 return self._check(u, v, g, x, len(z))
         raise AssertionError(f"no product coset produces {g} for ({u!r}, {v!r})")
 

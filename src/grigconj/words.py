@@ -340,11 +340,6 @@ def equal(u: str, v: str) -> bool:
     return is_identity(product(u, inverse(v)))
 
 
-def shortlex_key(w: str):
-    """Sort key: shorter word first, ties broken letter-wise a<b<c<d."""
-    return (len(w), w)
-
-
 def _extensions(w: str) -> str:
     # Letters that keep w + letter reduced.
     if not w:

@@ -8,7 +8,7 @@ import pytest
 
 import grigconj
 from conftest import rand_reduced
-from grigconj import cli, engine, quotient, search
+from grigconj import cli, engine, quotient, search, words
 from grigconj.words import inverse, product
 
 
@@ -199,6 +199,11 @@ class TestInternalErrors:
             search.LiftResidual("residue\nleft"),
             search.BaseIncomplete("slot"),
             quotient.SandwichGap("gap"),
+            # Crashes outside the invariant checks must not read as "NO".
+            search.NotLiftable("cosets"),
+            words.NotInStabilizer("odd word"),
+            KeyError("word"),
+            RecursionError("maximum recursion depth exceeded"),
         ],
     )
     @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_reduced
@@ -13,6 +13,7 @@ from grigconj.engine import (
     collect_universe,
     conjugate_pairs,
     q_set,
+    shortlex_order,
     solve,
 )
 from grigconj.quotient import IDENTITY_COSET, coset
@@ -73,6 +74,13 @@ class TestUniverse:
             for child in children:
                 assert isinstance(child, WordRecord)
                 assert table.lambda1[child.word] is child
+
+    @given(st.lists(st.text(alphabet="abcd", max_size=12)))
+    def test_shortlex_order_is_length_then_letters(self, ws):
+        assert shortlex_order(ws) == sorted(ws, key=lambda w: (len(w), w))
+        assert shortlex_order(["ca", "ab", "ba", "d", "", "ac"]) == [
+            "", "d", "ab", "ac", "ba", "ca",
+        ]
 
     def test_odd_prerequisite_chain(self, tables):
         # Processing ab needs its same-length child ca, which needs ad,
@@ -340,6 +348,70 @@ class TestAgainstPlantedConjugations:
         res = solve(spellings, tables)
         for w in spellings:
             assert res.representative(w) == ""
+
+
+def odd_chain_depth(w: str) -> int:
+    """How many odd records in a row start at w: w odd, its product
+    child odd, and so on."""
+    depth = 0
+    while True:
+        _, _, y = split(w)
+        if y is None:
+            return depth
+        depth += 1
+        w = y
+
+
+# Every odd word of up to 10 letters whose odd prerequisite chain is as
+# deep as it can be.
+DEPTH3_ODD = [w for w in iter_reduced_words(10) if odd_chain_depth(w) == 3]
+
+
+def make_odd(w: str) -> str:
+    return w if a_parity(w) else reduce(w + "a")
+
+
+@st.composite
+def odd_batches(draw):
+    """A few odd words of one family, plus conjugates of some of them:
+    powers of ad and da (dihedral, so long words with short values),
+    d-heavy words whose sections collapse, or words with a three-deep
+    odd chain."""
+    kind = draw(st.sampled_from(["dihedral", "d_heavy", "chain"]))
+    if kind == "dihedral":
+        power = st.builds(
+            lambda base, k: make_odd(reduce(base * k)),
+            st.sampled_from(["ad", "da"]),
+            st.integers(0, 15),
+        )
+        ws = draw(st.lists(power, min_size=1, max_size=4))
+    elif kind == "d_heavy":
+        letters = st.lists(st.sampled_from("abcdddddd"), max_size=30)
+        heavy = letters.map(lambda seq: make_odd(reduce("".join(seq))))
+        ws = draw(st.lists(heavy, min_size=1, max_size=4))
+    else:
+        ws = draw(st.lists(st.sampled_from(DEPTH3_ODD), min_size=1, max_size=4))
+    conjugators = st.text(alphabet="abcd", max_size=8).map(reduce)
+    for w in list(ws):
+        if draw(st.booleans()):
+            x = draw(conjugators)
+            ws.append(reduce(inverse(x) + w + x))
+    return ws
+
+
+class TestOddWordsAgainstNaive:
+    def test_depth3_family_is_populated(self):
+        assert len(DEPTH3_ODD) > 100
+        assert all(a_parity(w) for w in DEPTH3_ODD)
+
+    @settings(deadline=None)
+    @given(odd_batches())
+    def test_q_sets_match_naive(self, tables, ws):
+        res = solve(ws, tables)
+        solver = oracle.make_naive_solver(tables)
+        for u in ws:
+            for v in ws:
+                assert res.q_set(u, v) == solver.q(u, v), (u, v)
 
 
 class TestTableInvariants:

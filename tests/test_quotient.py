@@ -160,6 +160,15 @@ class TestSetOps:
         assert shift_a(1 << IDENTITY_COSET, tables) == 1 << ca
         assert shift_a(1 << ca, tables) == 1 << IDENTITY_COSET
 
+    def test_shift_a_byte_tables_match_the_bit_loop(self, tables):
+        ca = tables.gen_coset["a"]
+        image = [1 << tables.mul[g][ca] for g in range(16)]
+        for mask in range(1 << 16):
+            expected = 0
+            for g in bits(mask):
+                expected |= image[g]
+            assert shift_a(mask, tables) == expected, mask
+
 
 class TestQFormulas:
     def test_q_even_all_empty(self, tables):
@@ -286,6 +295,23 @@ def subgroup_cosets(tables) -> set:
     return subgroups, cosets
 
 
+def q_odd_terms_by_loop(q_prod, cu1, cv0, cv1, tables):
+    """(direct, twisted) terms of the odd formula, straight from its text:
+    lift{(g, v1 g u1^-1)} and lift{(g u1^-1, v0^-1 g)}a over g in q_prod."""
+    mul, inv, lift = tables.mul, tables.inv, tables.lift
+    ca = tables.gen_coset["a"]
+    direct = twisted = 0
+    for g in bits(q_prod):
+        gu = mul[g][inv[cu1]]
+        t = lift[g << 4 | mul[cv1][gu]]
+        if t >= 0:
+            direct |= 1 << t
+        t = lift[gu << 4 | mul[inv[cv0]][g]]
+        if t >= 0:
+            twisted |= 1 << mul[t][ca]
+    return direct, twisted
+
+
 def lift_product_by_loop(s0, s1, tables):
     out = 0
     for g0 in bits(s0):
@@ -349,6 +375,15 @@ class TestCosetInvariant:
                 assert key >> 16 in coset_masks
                 assert key & FULL_MASK in coset_masks
                 assert value in coset_masks
+        # The odd-formula memos: keyed on a Q-set and two cosets, so at
+        # most 180 * 256 keys each.  Each term is the part of a Q-set in
+        # the even (direct) or odd (twisted) cosets, so a coset too.
+        for memo in (fresh._q_odd_direct, fresh._q_odd_twisted):
+            assert memo
+            assert len(memo) <= len(coset_masks) * 256
+            for key, value in memo.items():
+                assert key >> 8 in coset_masks
+                assert value in coset_masks
 
 
 class TestMemos:
@@ -373,8 +408,43 @@ class TestMemos:
                 assert lift_set_product(a, b, fresh) == lift
         assert len(fresh._relative) == len(fresh._lift_product) == len(masks) ** 2
 
+    def test_odd_memos_match_the_loops_on_miss_and_hit(self, coset_masks):
+        fresh = build_quotient()
+        fresh._q_odd_direct.clear()
+        fresh._q_odd_twisted.clear()
+        cases = [
+            (q, x, y, q << 8 | x << 4 | y)
+            for q in sorted(coset_masks)
+            for x in range(16)
+            for y in range(16)
+        ]
+        # cv0 and cv1 both take y, so one call fills both memos at one key.
+        for hit in (False, True):
+            for q, x, y, key in cases:
+                assert (key in fresh._q_odd_direct) == hit
+                assert (key in fresh._q_odd_twisted) == hit
+                direct, twisted = q_odd_terms_by_loop(q, x, y, y, fresh)
+                assert q_odd_cosets(q, x, y, y, fresh) == direct | twisted
+                assert fresh._q_odd_direct[key] == direct
+                assert fresh._q_odd_twisted[key] == twisted
+        assert len(fresh._q_odd_direct) == len(fresh._q_odd_twisted) == len(cases)
+
+    def test_odd_memos_key_on_the_cosets_each_term_reads(self, coset_masks, rng):
+        # The direct term ignores cv0 and the twisted term ignores cv1, so
+        # each memo drops that coset from its key; every other call below
+        # hits an entry stored with a different value of the dropped one.
+        fresh = build_quotient()
+        for q in rng.sample(sorted(coset_masks), 8):
+            for cu1 in range(16):
+                for cv0 in range(16):
+                    for cv1 in range(16):
+                        direct, twisted = q_odd_terms_by_loop(q, cu1, cv0, cv1, fresh)
+                        got = q_odd_cosets(q, cu1, cv0, cv1, fresh)
+                        assert got == direct | twisted, (q, cu1, cv0, cv1)
+
     def test_memos_are_per_table_and_not_compared(self, tables):
         fresh = build_quotient()
-        assert fresh._relative is not tables._relative
+        for name in ("_relative", "_lift_product", "_q_odd_direct", "_q_odd_twisted"):
+            assert getattr(fresh, name) is not getattr(tables, name)
+            assert name not in repr(fresh)
         assert fresh == tables
-        assert "_relative" not in repr(fresh)

@@ -61,6 +61,14 @@ class TestTau:
             assert len(tau(0, w)) <= 2 * len(w) + 1
             assert len(tau(1, w)) <= 2 * len(w) + 1
 
+    def test_right_section_of_tau0_is_a_letter_map(self, rng):
+        # The lift reads delta0 = phi1(tau0(w)) off w by a letter map.
+        words = list(iter_reduced_words(9))
+        words += [rand_reduced(rng.randrange(0, 401), rng) for _ in range(200)]
+        for w in words:
+            by_map = dihedral_normalize(w.translate(search_mod._PHI1_TAU0))
+            assert by_map == dihedral_normalize(phi_pair(tau(0, w))[1]), w
+
     @given(st.text(alphabet="abcd", max_size=80).map(reduce), st.sampled_from([0, 1]))
     def test_matches_reduced_substitution(self, w, which):
         # Reference: substitute letter by letter, then reduce.
