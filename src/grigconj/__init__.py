@@ -23,7 +23,7 @@ from .words import (
     split_children,
 )
 from .quotient import BuildDivergence, ConfigError, QuotientTables, SandwichGap, build_quotient, coset, get_tables
-from .sptree import SplitTree, build_tree, build_tree9, tree_height
+from .sptree import SplitTree, build_tree, build_tree9
 from .engine import CapacityViolation, are_conjugate, conjugate_pairs, q_set, solve
 from .search import (
     BaseIncomplete,
@@ -69,7 +69,6 @@ __all__ = [
     "coset",
     "build_tree",
     "build_tree9",
-    "tree_height",
     "are_conjugate",
     "conjugate_pairs",
     "q_set",

@@ -10,8 +10,10 @@ member, and no row ever holds more than 256 members.
 
 Rows are keyed by the representatives of a word's children: a pair
 (w0*, w1*) for words with even a-count, the single representative
-(w0·w1)* otherwise.  Within a row, members are pairwise non-conjugate;
+(w0·w1)* otherwise.  ``lambda2`` maps each row label to the row's member
+records, a plain list.  Within a row, members are pairwise non-conjugate;
 the first member found conjugate to a new word becomes its representative.
+A word is processed once it has a representative (``rep`` is set).
 
 A word's Q-set against a row member comes from the children's stored
 Q-sets through ``quotient.q_even`` or ``quotient.q_odd_cosets``, the one
@@ -72,7 +74,7 @@ class WordRecord:
         # Odd words: the record of y = s0·s1, where (s0, s1) are the
         # sections of w·a, then s0 and s1 and their cosets.
         "child", "sec0", "sec1", "oc0", "oc1",
-        "rep", "q_to_rep", "processed",
+        "rep", "q_to_rep",
     )
 
     def __init__(self, word: str):
@@ -86,19 +88,10 @@ class WordRecord:
         self.oc1 = IDENTITY_COSET
         self.rep = None
         self.q_to_rep = 0
-        self.processed = False
 
     def __repr__(self):
         rep = self.rep.word if self.rep is not None else None
         return f"WordRecord({self.word!r}, rep={rep!r})"
-
-
-class ConjRow:
-    __slots__ = ("key", "members")
-
-    def __init__(self, key: str):
-        self.key = key
-        self.members = []
 
 
 class ConjTable:
@@ -107,11 +100,14 @@ class ConjTable:
     def __init__(self, tables: QuotientTables):
         self.tables = tables
         self.lambda1 = {}   # word -> WordRecord
-        self.lambda2 = {}   # row label -> ConjRow
-        self.rows = []
+        self.lambda2 = {}   # row label -> member records
         self.ops = 0
-        self.max_row_size = 1   # the seed rows hold one member each
         self._seed()
+
+    @property
+    def rows(self) -> list:
+        """The member lists of all rows, in creation order."""
+        return list(self.lambda2.values())
 
     # -- row keys ----------------------------------------------------------
     @staticmethod
@@ -137,7 +133,6 @@ class ConjTable:
         for w, rec in records.items():
             rec.rep = rec
             rec.q_to_rep = base[w]
-            rec.processed = True
         # Initial rows: one per one-letter class, labelled by child reps.
         self._new_row(self.pair_key("", ""), eps)
         self._new_row("", ra)
@@ -146,10 +141,7 @@ class ConjTable:
         self._new_row(self.pair_key("", "b"), records["d"])
 
     def _new_row(self, key: str, first: WordRecord):
-        row = ConjRow(key)
-        row.members.append(first)
-        self.rows.append(row)
-        self.lambda2[key] = row
+        self.lambda2[key] = [first]
         self.ops += len(key) + 1
 
     def _row(self, key: str):
@@ -193,18 +185,18 @@ class ConjTable:
         while True:
             cur = chain[-1]
             if cur.even:
-                if not (cur.child0.processed and cur.child1.processed):
+                if cur.child0.rep is None or cur.child1.rep is None:
                     raise AssertionError(
                         f"even word {cur.word!r} has unprocessed sections"
                     )
                 break
-            if cur.child.processed:
+            if cur.child.rep is not None:
                 break
             chain.append(cur.child)
             if len(chain) > 3:
                 raise AssertionError("odd prerequisite chain deeper than 3")
         for cur in reversed(chain):
-            if not cur.processed:
+            if cur.rep is None:
                 self._process_one(cur)
 
     def _process_one(self, rec: WordRecord):
@@ -214,7 +206,10 @@ class ConjTable:
             key = self.pair_key(r0, r1)
             row = self._row(key)
             if row is None and r0 != r1:
-                row = self._row(self.pair_key(r1, r0))
+                swapped = self.pair_key(r1, r0)
+                row = self._row(swapped)
+                if row is not None:
+                    key = swapped
             q_of = self._q_against_even
         else:
             key = rec.child.rep.word
@@ -223,28 +218,24 @@ class ConjTable:
         self.ops += len(rec.word) + 2
 
         if row is not None:
-            for other in row.members:
+            for other in row:
                 q = q_of(rec, other)
                 if q:
                     rec.rep = other
                     rec.q_to_rep = q
-                    rec.processed = True
                     return
-            if len(row.members) >= ROW_CAPACITY:
+            if len(row) >= ROW_CAPACITY:
                 raise CapacityViolation(
-                    f"row {row.key!r} would exceed {ROW_CAPACITY} members"
+                    f"row {key!r} would exceed {ROW_CAPACITY} members"
                 )
         rec.rep = rec
         rec.q_to_rep = q_of(rec, rec)
-        rec.processed = True
         if not rec.q_to_rep & (1 << IDENTITY_COSET):
             raise AssertionError(f"Q({rec.word!r}, itself) misses the identity coset")
         if row is None:
             self._new_row(key, rec)
         else:
-            row.members.append(rec)
-            if len(row.members) > self.max_row_size:
-                self.max_row_size = len(row.members)
+            row.append(rec)
 
 
 class SolveResult:
@@ -262,9 +253,6 @@ class SolveResult:
 
     def representative(self, w: str) -> str:
         return self.record(w).rep.word
-
-    def q_to_rep(self, w: str) -> int:
-        return self.record(w).q_to_rep
 
     def q_set(self, u: str, v: str) -> int:
         """Q(u, v) for two universe words."""
@@ -284,7 +272,7 @@ class SolveResult:
 
     @property
     def max_row_size(self) -> int:
-        return self.table.max_row_size
+        return max(map(len, self.table.lambda2.values()))
 
 
 def shortlex_order(words: list) -> list:
@@ -348,7 +336,7 @@ def solve(inputs, tables: QuotientTables | None = None) -> SolveResult:
     inputs = [parse(w) for w in inputs]
     table = ConjTable(tables)
     for rec in collect_universe(inputs, table):
-        if not rec.processed:
+        if rec.rep is None:
             table.process(rec)
     return SolveResult(table, inputs)
 

@@ -202,17 +202,18 @@ def lift_set_product(s0: int, s1: int, tables: QuotientTables) -> int:
     return out
 
 
-def _lift_product_loop(s0: int, s1: int, lift: tuple) -> int:
+def _lift_image(pairs, lift: tuple) -> int:
+    """The set of lift[(g0, g1)] over coset pairs, skipping pairs outside L."""
     out = 0
-    for g0 in range(16):
-        if s0 >> g0 & 1:
-            base = g0 << 4
-            for g1 in range(16):
-                if s1 >> g1 & 1:
-                    t = lift[base | g1]
-                    if t >= 0:
-                        out |= 1 << t
+    for g0, g1 in pairs:
+        t = lift[(g0 << 4) | g1]
+        if t >= 0:
+            out |= 1 << t
     return out
+
+
+def _lift_product_loop(s0: int, s1: int, lift: tuple) -> int:
+    return _lift_image(((g0, g1) for g0 in mask_cosets(s0) for g1 in mask_cosets(s1)), lift)
 
 
 def q_even(q00: int, q11: int, q10: int, q01: int, tables: QuotientTables) -> int:
@@ -247,32 +248,19 @@ def q_odd_cosets(q_prod: int, cu1: int, cv0: int, cv1: int, tables: QuotientTabl
 
 def _q_odd_direct_loop(q_prod: int, cu1: int, cv1: int, tables: QuotientTables) -> int:
     """lift{(g, v1·g·u1^-1) : g in q_prod}."""
-    out = 0
     mul = tables.mul
-    lift = tables.lift
     iu1 = tables.inv[cu1]
     row = mul[cv1]
-    for g in range(16):
-        if q_prod >> g & 1:
-            t = lift[(g << 4) | row[mul[g][iu1]]]
-            if t >= 0:
-                out |= 1 << t
-    return out
+    return _lift_image(((g, row[mul[g][iu1]]) for g in mask_cosets(q_prod)), tables.lift)
 
 
 def _q_odd_twisted_loop(q_prod: int, cu1: int, cv0: int, tables: QuotientTables) -> int:
     """lift{(g·u1^-1, v0^-1·g) : g in q_prod}·a."""
-    out = 0
     mul = tables.mul
-    lift = tables.lift
     iu1 = tables.inv[cu1]
     row = mul[tables.inv[cv0]]
-    for g in range(16):
-        if q_prod >> g & 1:
-            t = lift[(mul[g][iu1] << 4) | row[g]]
-            if t >= 0:
-                out |= 1 << t
-    return shift_a(out, tables)
+    pairs = ((mul[g][iu1], row[g]) for g in mask_cosets(q_prod))
+    return shift_a(_lift_image(pairs, tables.lift), tables)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ word's sections, product word and section cosets from the engine's
 records, and picks the section cosets of a witness by evaluating
 ``quotient.q_even`` or ``quotient.q_odd_cosets`` on single cosets of the
 stored Q-sets.  It bottoms out in the finite universe of words of
-norm < 9, whose conjugators are tabulated once by brute force.
+norm < 9, whose conjugators are tabulated once by brute force in a
+plain dict keyed on (u, v, coset).
 
 Every returned conjugator is verified against the word problem before it
 leaves this module; the per-call length bound of the lift and the
@@ -144,24 +145,10 @@ def _lift(x0: str, x1: str, c0: int, c1: int, tables: QuotientTables) -> str:
 # ---------------------------------------------------------------------------
 # Base conjugator table over the norm < 9 universe.
 
-class BaseConjTable:
-    """Explicit conjugators for every (u, v, coset) slot with both words in
-    the norm < 9 universe and coset in Q(u, v)."""
-
-    def __init__(self, slots: dict):
-        self.slots = slots
-
-    def conjugator(self, u: str, v: str, g: int) -> str:
-        return self.slots[(u, v, g)]
-
-    def __len__(self):
-        return len(self.slots)
-
-
-def build_base_conj_table(
-    tables: QuotientTables | None = None, max_len: int = 24
-) -> BaseConjTable:
-    """Fill every base slot by shortlex-increasing witness search.
+def build_base_conj_table(tables: QuotientTables | None = None, max_len: int = 24) -> dict:
+    """Explicit conjugators ``{(u, v, g): x}`` for every slot with both
+    words in the norm < 9 universe and coset g in Q(u, v), filled by
+    shortlex-increasing witness search.
 
     The norm < 9 word set is closed under splitting, so the search
     recursion can only bottom out inside it.  For each word v, candidates
@@ -210,14 +197,14 @@ def build_base_conj_table(
             raise BaseIncomplete(
                 f"slots for {v!r} unwitnessed at length {max_len}: {sorted(by_coset)}"
             )
-    return BaseConjTable(slots)
+    return slots
 
 
-_BASE: BaseConjTable | None = None
+_BASE: dict | None = None
 _BASE_LOCK = threading.Lock()
 
 
-def get_base_table() -> BaseConjTable:
+def get_base_table() -> dict:
     """Process-wide base table, built once, on first use, by one thread."""
     global _BASE
     if _BASE is None:
@@ -231,7 +218,7 @@ def get_base_table() -> BaseConjTable:
 # Recursive search.
 
 class _Searcher:
-    def __init__(self, solved: engine.SolveResult, tables: QuotientTables, base: BaseConjTable):
+    def __init__(self, solved: engine.SolveResult, tables: QuotientTables, base: dict):
         self.solved = solved
         self.t = tables
         self.base = base
@@ -247,7 +234,7 @@ class _Searcher:
         """
         t = self.t
         if norm(u) < 9.0 and norm(v) < 9.0:
-            return self.base.conjugator(u, v, g)
+            return self.base[(u, v, g)]
         ru, rv = self.solved.record(u), self.solved.record(v)
         if ru.even != rv.even:
             raise AssertionError("mismatched parities cannot be conjugate")
@@ -312,7 +299,7 @@ def find_conjugator(
     v: str,
     g: int | None = None,
     tables: QuotientTables | None = None,
-    base: BaseConjTable | None = None,
+    base: dict | None = None,
 ):
     """A verified x with u = x^-1 v x, else None.
 

@@ -189,13 +189,12 @@ def test_criterion_5_invariant_suite(tables):
         if w and not tree.total_label_len <= 800 * len(w):
             violations += 1
         # Edge monotonicity and the three-step strict decrease.
-        stack = [(tree.root, (len(w),))
-                 ]
+        stack = [(w, (len(w),))]
         while stack:
-            node, lens = stack.pop()
-            for child in node.children:
-                cl = len(child.word)
-                if cl > len(node.word):
+            u, lens = stack.pop()
+            for child in split_children(u):
+                cl = len(child)
+                if cl > len(u):
                     violations += 1
                 if len(lens) >= 3 and cl >= lens[-3]:
                     violations += 1

@@ -1,12 +1,17 @@
+import ast
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_reduced
-from grigconj import oracle
+from grigconj import engine, oracle
 from grigconj.engine import (
     ROW_CAPACITY,
     SEPARATOR,
+    CapacityViolation,
     ConjTable,
     WordRecord,
     are_conjugate,
@@ -23,22 +28,22 @@ from grigconj.words import a_parity, equal, inverse, iter_reduced_words, reduce,
 class TestInitialTable:
     def test_five_seed_rows(self, tables):
         table = ConjTable(tables)
-        keys = {row.key for row in table.rows}
-        assert keys == {
+        assert set(table.lambda2) == {
             SEPARATOR + SEPARATOR,                      # (1, 1)
             "",                                          # product label of a
             SEPARATOR + "a" + SEPARATOR + "c",          # (a, c)
             SEPARATOR + "a" + SEPARATOR + "d",          # (1-letter reps of b's sections)
             SEPARATOR + SEPARATOR + "b",                # (1, b)
         }
+        assert table.rows == list(table.lambda2.values())
         for row in table.rows:
-            assert len(row.members) == 1
+            assert len(row) == 1
 
     def test_seeds_are_their_own_representatives(self, tables):
         table = ConjTable(tables)
         for w in ("", "a", "b", "c", "d"):
             rec = table.lambda1[w]
-            assert rec.processed and rec.rep is rec
+            assert rec.rep is rec
             assert rec.q_to_rep == tables.base_q[w]
 
 
@@ -89,7 +94,7 @@ class TestUniverse:
         solver = oracle.make_naive_solver(tables)
         for w in ("ab", "ca", "ad"):
             rec = res.record(w)
-            assert rec.processed
+            assert rec.rep is not None
             assert rec.q_to_rep == solver.q(w, rec.rep.word)
 
 
@@ -101,7 +106,7 @@ class TestSolveBasics:
     def test_aba_joins_b(self, tables):
         res = solve(["aba"], tables)
         assert res.representative("aba") == "b"
-        assert res.q_to_rep("aba")
+        assert res.record("aba").q_to_rep
 
     def test_same_rep_for_conjugates(self, tables):
         res = solve(["b", "aba"], tables)
@@ -123,7 +128,7 @@ class TestSolveBasics:
         assert res.representative("adadadad") == ""
         # Everything conjugates the identity to itself, so the stored
         # Q-set against the representative is the full coset set.
-        assert res.q_to_rep("adadadad") == 0xFFFF
+        assert res.record("adadadad").q_to_rep == 0xFFFF
 
     def test_accepts_unreduced_input(self, tables):
         assert are_conjugate("bc", "d", tables)
@@ -419,19 +424,21 @@ class TestTableInvariants:
         inputs = [rand_reduced(rng.randrange(0, 120), rng) for _ in range(60)]
         res = solve(inputs, tables)
         assert res.max_row_size <= ROW_CAPACITY
+        assert res.max_row_size == max(len(row) for row in res.table.rows)
+        assert res.table.rows == list(res.table.lambda2.values())
         for row in res.table.rows:
-            reps = [e is e.rep for e in row.members]
+            reps = [e is e.rep for e in row]
             assert all(reps)
             # members pairwise non-conjugate
-            for i, e1 in enumerate(row.members):
-                for e2 in row.members[i + 1 :]:
+            for i, e1 in enumerate(row):
+                for e2 in row[i + 1 :]:
                     assert e1.rep is not e2.rep
 
     def test_processed_records_have_nonempty_q(self, tables, rng):
         inputs = [rand_reduced(rng.randrange(0, 80), rng) for _ in range(20)]
         res = solve(inputs, tables)
         for rec in res.table.lambda1.values():
-            assert rec.processed
+            assert rec.rep is not None
             assert rec.q_to_rep != 0
             if rec.rep is rec:
                 assert rec.q_to_rep >> IDENTITY_COSET & 1
@@ -444,3 +451,48 @@ class TestTableInvariants:
         small = ops_at(20_000)
         big = ops_at(40_000)
         assert 1.3 <= big / small <= 2.7
+
+
+def violated_label(tables, inputs) -> tuple:
+    """Solve ``inputs`` the way ``solve`` does, with rows capped at one
+    member; returns the label the CapacityViolation names, and the table."""
+    table = ConjTable(tables)
+    with pytest.raises(CapacityViolation) as err:
+        for rec in collect_universe(inputs, table):
+            if rec.rep is None:
+                table.process(rec)
+    label = re.fullmatch(r"row (.*) would exceed 1 members", str(err.value)).group(1)
+    return ast.literal_eval(label), table
+
+
+class TestCapacityViolation:
+    @pytest.mark.parametrize(
+        "inputs, label",
+        [
+            (["ab", "ababab"], "ad"),
+            (["adad", "cacadacabacacadacacad"], SEPARATOR + "b" + SEPARATOR + "b"),
+            # The row of cacadacacaba's children (c, ba) is stored as (ba, c).
+            (["adab", "cacadacacaba"], SEPARATOR + "ba" + SEPARATOR + "c"),
+        ],
+    )
+    def test_names_the_row_found(self, tables, monkeypatch, inputs, label):
+        monkeypatch.setattr(engine, "ROW_CAPACITY", 1)
+        got, table = violated_label(tables, inputs)
+        assert got == label
+        assert label in table.lambda2
+
+    def test_seeded_two_member_rows(self, tables, monkeypatch):
+        # The two members of a row share the label of their children's
+        # classes, so solving just them at capacity 1 must overflow a row.
+        rng = random.Random(44)
+        kinds = set()
+        for _ in range(6):
+            inputs = [rand_reduced(rng.randrange(0, 400), rng) for _ in range(rng.randrange(2, 30))]
+            rows = [row for row in solve(inputs, tables).table.rows if len(row) == 2]
+            with monkeypatch.context() as m:
+                m.setattr(engine, "ROW_CAPACITY", 1)
+                for first, second in rows:
+                    label, table = violated_label(tables, [first.word, second.word])
+                    assert label in table.lambda2
+                    kinds.add(label.startswith(SEPARATOR))
+        assert kinds == {True, False}

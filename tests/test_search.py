@@ -152,10 +152,10 @@ class TestBaseConjTable:
         from grigconj.words import norm9_universe
 
         for w in norm9_universe():
-            assert base_table.conjugator(w, w, IDENTITY_COSET) == ""
+            assert base_table[(w, w, IDENTITY_COSET)] == ""
 
     def test_explicit_witness(self, tables, base_table):
-        assert base_table.conjugator("aba", "b", tables.gen_coset["a"]) == "a"
+        assert base_table[("aba", "b", tables.gen_coset["a"])] == "a"
 
     def test_slot_count_matches_engine_q_sets(self, tables, base_table):
         from grigconj.words import norm9_universe
@@ -169,7 +169,7 @@ class TestBaseConjTable:
         assert len(base_table) == expected
 
     def test_every_slot_verifies(self, tables, base_table):
-        for (u, v, g), x in base_table.slots.items():
+        for (u, v, g), x in base_table.items():
             assert coset(x, tables) == g
             assert equal(u, reduce(inverse(x) + v + x))
 

@@ -1,8 +1,46 @@
+import math
+
 import pytest
 
 from conftest import rand_reduced
 from grigconj import sptree
-from grigconj.words import TABULATED_WEIGHTS, norm, norm9_universe, split_children
+from grigconj.words import EXACT_WEIGHTS, TABULATED_WEIGHTS, norm, norm9_universe, split_children
+
+
+def reference_totals(w, floor=0.0, weights=EXACT_WEIGHTS):
+    """(vertex count, total norm, total label length, height) over the
+    vertices of norm >= floor that have no lighter ancestor, by plain
+    recursion over ``split_children``."""
+
+    def visit(u, depth):
+        n = norm(u, weights)
+        if n < floor:
+            return 0, 0.0, 0, 0
+        count, total, letters, height = 1, n, len(u), depth
+        for c in split_children(u):
+            k, t, l, h = visit(c, depth + 1)
+            count, total, letters, height = count + k, total + t, letters + l, max(height, h)
+        return count, total, letters, height
+
+    return visit(w, 0)
+
+
+def assert_matches_reference(tree, w, floor):
+    count, total, letters, height = reference_totals(w, floor)
+    assert tree.vertex_count == count
+    assert tree.total_label_len == letters
+    assert tree.height == height
+    assert tree.total_norm == pytest.approx(total, rel=1e-9, abs=1e-12)
+
+
+def vertex_words(w):
+    """Every vertex label of the splitting tree of w, repeats included."""
+    out, stack = [], [w]
+    while stack:
+        u = stack.pop()
+        out.append(u)
+        stack.extend(split_children(u))
+    return out
 
 
 class TestBuildTree:
@@ -15,45 +53,61 @@ class TestBuildTree:
     def test_single_letter_is_leaf(self):
         t = sptree.build_tree("d")
         assert t.vertex_count == 1
-        assert t.root.children == ()
+        assert t.height == 0
+        assert split_children("d") == []
 
     def test_aba(self):
         t = sptree.build_tree("aba")
         assert t.vertex_count == 3
-        assert {n.word for n in t} == {"aba", "c", "a"}
+        assert sorted(vertex_words("aba")) == ["a", "aba", "c"]
+        assert t.total_label_len == 5
         assert t.total_norm == pytest.approx(8.5557, abs=2e-3)
         t_tab = sptree.build_tree("aba", TABULATED_WEIGHTS)
         assert t_tab.total_norm == pytest.approx(5.5118 + 1.288 + 1.7559, abs=1e-9)
 
     def test_abab_children(self):
+        assert split_children("abab") == ["ca", "ac"]
         t = sptree.build_tree("abab")
-        assert [c.word for c in t.root.children] == ["ca", "ac"]
+        kids = [sptree.build_tree(c) for c in ("ca", "ac")]
+        assert t.vertex_count == 1 + sum(k.vertex_count for k in kids)
+        assert t.height == 1 + max(k.height for k in kids)
 
     def test_children_match_split_children(self, rng):
         for _ in range(100):
             w = rand_reduced(rng.randrange(0, 60), rng)
-            t = sptree.build_tree(w)
-            for node in t:
-                assert [c.word for c in node.children] == split_children(node.word)
-                assert (len(node.word) <= 1) == (node.children == ())
+            labels = vertex_words(w)
+            assert sptree.build_tree(w).vertex_count == len(labels)
+            for u in labels:
+                assert (len(u) <= 1) == (split_children(u) == [])
 
     def test_edge_monotone_and_three_step_decrease(self, rng):
         for _ in range(60):
             w = rand_reduced(rng.randrange(0, 200), rng)
-            t = sptree.build_tree(w)
-            for n0 in t:
-                for n1 in n0.children:
-                    assert len(n1.word) <= len(n0.word)
-                    for n2 in n1.children:
-                        for n3 in n2.children:
-                            assert len(n3.word) < len(n0.word)
+            for u0 in vertex_words(w):
+                for u1 in split_children(u0):
+                    assert len(u1) <= len(u0)
+                    for u2 in split_children(u1):
+                        for u3 in split_children(u2):
+                            assert len(u3) < len(u0)
+
+
+class TestAgainstReference:
+    def test_random_words(self, rng):
+        for _ in range(80):
+            w = rand_reduced(rng.randrange(0, 300), rng)
+            assert_matches_reference(sptree.build_tree(w), w, 0.0)
+            assert_matches_reference(sptree.build_tree9(w), w, 9.0)
+
+    def test_light_universe(self):
+        for w in norm9_universe():
+            assert_matches_reference(sptree.build_tree(w), w, 0.0)
+            assert_matches_reference(sptree.build_tree9(w), w, 9.0)
 
 
 class TestTree9:
     def test_light_word_gives_empty_tree(self):
         t9 = sptree.build_tree9("ab")
-        assert t9.vertex_count == 0
-        assert t9.root is None
+        assert (t9.vertex_count, t9.total_norm, t9.total_label_len, t9.height) == (0, 0.0, 0, 0)
 
     def test_heavy_word_counts_root(self, rng):
         seen = 0
@@ -101,17 +155,15 @@ class TestTree9:
 
 class TestHeight:
     def test_examples(self):
-        assert sptree.tree_height("", "") == 0
-        assert sptree.tree_height("aba", "") == 1
+        assert sptree.build_tree("").height == 0
+        assert sptree.build_tree("aba").height == 1
 
     def test_logarithmic_growth_reported(self, rng):
         # Monitored, not asserted: heights should track log_1.22 of the size.
-        import math
-
         sizes = [50, 200, 800]
         for n in sizes:
             u = rand_reduced(n, rng)
             v = rand_reduced(n, rng)
-            h = sptree.tree_height(u, v)
+            h = max(sptree.build_tree(u).height, sptree.build_tree(v).height)
             bound = math.log(2 * n, 1.22)
             assert h <= bound + 20  # generous constant; empirical heights are far below
