@@ -8,12 +8,17 @@ combined input length: the universe is linear by the tree-size bounds,
 each word costs a constant number of bounded Q-set operations per row
 member, and no row ever holds more than 256 members.
 
-Rows are keyed by the representatives of a word's children: a pair
-(w0*, w1*) for words with even a-count, the single representative
-(w0·w1)* otherwise.  ``lambda2`` maps each row label to the row's member
-records, a plain list.  Within a row, members are pairwise non-conjugate;
-the first member found conjugate to a new word becomes its representative.
-A word is processed once it has a representative (``rep`` is set).
+Every universe word has a record, linked to its children's records as
+it is split.  A row is keyed by the representative records of a word's
+children: the single record (w0·w1)* for a word with odd a-count, the
+pair (w0*, w1*) otherwise, put in the order of their words so that a
+conjugator that swaps the sections finds the same row.  A record key and
+a tuple key never compare equal.  ``lambda2`` maps each row key to the
+row's member records, a plain list.  Within a row, members are pairwise
+non-conjugate; the first member found conjugate to a new word becomes
+its representative.  A word is processed once it has a representative
+(``rep`` is set).  The five seed words ``1, a, b, c, d`` are split the
+same way and open the first five rows, one each.
 
 A word's Q-set against a row member comes from the children's stored
 Q-sets through ``quotient.q_even`` or ``quotient.q_odd_cosets``, the one
@@ -21,8 +26,11 @@ implementation of each formula.
 
 Ops model (``ops`` carries the paper's linearity claim):
 
-- every dict access to the universe or the row index, hit, miss or
-  insert, charges ``len(key) + 1``;
+- every universe access charges ``len(w) + 1``: the lookup of each
+  input and of each child a split names, the insert of a new word, and
+  its read in shortlex order;
+- every row access charges the letters of the key's representatives,
+  plus 1;
 - an odd word's two section cosets charge ``len(w0) + len(w1)``, one per
   letter walked;
 - a Q-set transport between words that share a representative charges
@@ -55,10 +63,6 @@ from .quotient import (
 from .words import parse, split
 
 ROW_CAPACITY = 256
-
-# Row labels join representatives with the separator; a leading separator
-# tags pair labels so they never collide with single-word labels.
-SEPARATOR = ","
 
 
 class CapacityViolation(RuntimeError):
@@ -100,7 +104,7 @@ class ConjTable:
     def __init__(self, tables: QuotientTables):
         self.tables = tables
         self.lambda1 = {}   # word -> WordRecord
-        self.lambda2 = {}   # row label -> member records
+        self.lambda2 = {}   # row key -> member records
         self.ops = 0
         self._seed()
 
@@ -109,44 +113,31 @@ class ConjTable:
         """The member lists of all rows, in creation order."""
         return list(self.lambda2.values())
 
-    # -- row keys ----------------------------------------------------------
-    @staticmethod
-    def pair_key(r0: str, r1: str) -> str:
-        return SEPARATOR + r0 + SEPARATOR + r1
-
     # -- seeding -----------------------------------------------------------
     def _seed(self):
+        """Split the five seed words like any other, make each its own
+        representative, and open one row per seed under its key."""
         base = self.tables.base_q
-        records = self.lambda1
-        for w in ("", "a", "b", "c", "d"):
-            records[w] = WordRecord(w)
-            self.ops += len(w) + 1
-        eps = records[""]
-        eps.child0 = eps.child1 = eps
-        for g, (s0, s1) in (("b", ("a", "c")), ("c", ("a", "d")), ("d", ("", "b"))):
-            records[g].child0 = records[s0]
-            records[g].child1 = records[s1]
-        ra = records["a"]
-        ra.even = False
-        ra.child = eps
-        ra.oc0 = ra.oc1 = IDENTITY_COSET
-        for w, rec in records.items():
+        seeds = collect_universe(("", "a", "b", "c", "d"), self)
+        for rec in seeds:
             rec.rep = rec
-            rec.q_to_rep = base[w]
-        # Initial rows: one per one-letter class, labelled by child reps.
-        self._new_row(self.pair_key("", ""), eps)
-        self._new_row("", ra)
-        self._new_row(self.pair_key("a", "c"), records["b"])
-        self._new_row(self.pair_key("a", "d"), records["c"])
-        self._new_row(self.pair_key("", "b"), records["d"])
+            rec.q_to_rep = base[rec.word]
+        for rec in seeds:
+            self.lambda2[self._row_key(rec)] = [rec]
 
-    def _new_row(self, key: str, first: WordRecord):
-        self.lambda2[key] = [first]
-        self.ops += len(key) + 1
-
-    def _row(self, key: str):
-        self.ops += len(key) + 1
-        return self.lambda2.get(key)
+    def _row_key(self, rec: WordRecord):
+        """The key of ``rec``'s row, charged as one row access: the child's
+        representative for an odd word; for an even word the two section
+        representatives, the one with the smaller word first."""
+        if rec.even:
+            r0, r1 = rec.child0.rep, rec.child1.rep
+            if r1.word < r0.word:
+                r0, r1 = r1, r0
+            self.ops += len(r0.word) + len(r1.word) + 1
+            return r0, r1
+        r = rec.child.rep
+        self.ops += len(r.word) + 1
+        return r
 
     # -- Q-set transport ----------------------------------------------------
     def transport(self, x: WordRecord, y: WordRecord) -> int:
@@ -200,42 +191,24 @@ class ConjTable:
                 self._process_one(cur)
 
     def _process_one(self, rec: WordRecord):
-        if rec.even:
-            r0 = rec.child0.rep.word
-            r1 = rec.child1.rep.word
-            key = self.pair_key(r0, r1)
-            row = self._row(key)
-            if row is None and r0 != r1:
-                swapped = self.pair_key(r1, r0)
-                row = self._row(swapped)
-                if row is not None:
-                    key = swapped
-            q_of = self._q_against_even
-        else:
-            key = rec.child.rep.word
-            row = self._row(key)
-            q_of = self._q_against_odd
+        key = self._row_key(rec)
+        row = self.lambda2.setdefault(key, [])
+        q_of = self._q_against_even if rec.even else self._q_against_odd
         self.ops += len(rec.word) + 2
-
-        if row is not None:
-            for other in row:
-                q = q_of(rec, other)
-                if q:
-                    rec.rep = other
-                    rec.q_to_rep = q
-                    return
-            if len(row) >= ROW_CAPACITY:
-                raise CapacityViolation(
-                    f"row {key!r} would exceed {ROW_CAPACITY} members"
-                )
+        for other in row:
+            q = q_of(rec, other)
+            if q:
+                rec.rep = other
+                rec.q_to_rep = q
+                return
+        if len(row) >= ROW_CAPACITY:
+            label = tuple(r.word for r in key) if rec.even else key.word
+            raise CapacityViolation(f"row {label!r} would exceed {ROW_CAPACITY} members")
         rec.rep = rec
         rec.q_to_rep = q_of(rec, rec)
         if not rec.q_to_rep & (1 << IDENTITY_COSET):
             raise AssertionError(f"Q({rec.word!r}, itself) misses the identity coset")
-        if row is None:
-            self._new_row(key, rec)
-        else:
-            row.append(rec)
+        row.append(rec)
 
 
 class SolveResult:
@@ -285,45 +258,41 @@ def shortlex_order(words: list) -> list:
 
 
 def collect_universe(inputs, table: ConjTable) -> list:
-    """Create records for every splitting-tree label of every input,
-    returning them in shortlex processing order."""
+    """Create a record for every splitting-tree label of every input, each
+    linked to its children's records as it is split, and return the new
+    records in shortlex processing order."""
     t = table.tables
     lam1 = table.lambda1
-    stack = list(inputs)
     words_out = []
-    while stack:
-        w = stack.pop()
+    stack = []
+
+    def record(w: str) -> WordRecord:
+        # Get or create; a new record is queued for splitting.
         table.ops += len(w) + 1
-        if w in lam1:
-            continue
-        rec = lam1[w] = WordRecord(w)
-        words_out.append(w)
-        table.ops += len(w) + 1   # the insert
-        w0, w1, y = split(w)
+        rec = lam1.get(w)
+        if rec is None:
+            rec = lam1[w] = WordRecord(w)
+            table.ops += len(w) + 1   # the insert
+            words_out.append(w)
+            stack.append(rec)
+        return rec
+
+    for w in inputs:
+        record(w)
+    while stack:
+        rec = stack.pop()
+        w0, w1, y = split(rec.word)
         if y is None:
-            rec.child0 = w0
-            rec.child1 = w1
-            stack.append(w0)
-            stack.append(w1)
+            rec.child0 = record(w0)
+            rec.child1 = record(w1)
         else:
             rec.even = False
-            rec.child = y
+            rec.child = record(y)
             rec.sec0 = w0
             rec.sec1 = w1
             rec.oc0 = coset(w0, t)
             rec.oc1 = coset(w1, t)
             table.ops += len(w0) + len(w1)
-            stack.append(y)
-    # Resolve child references now that every label has a record.
-    for w in words_out:
-        rec = lam1[w]
-        if rec.even:
-            rec.child0 = lam1[rec.child0]
-            rec.child1 = lam1[rec.child1]
-            table.ops += len(w) + len(rec.child0.word) + len(rec.child1.word) + 3
-        else:
-            rec.child = lam1[rec.child]
-            table.ops += len(w) + len(rec.child.word) + 2
     ordered = shortlex_order(words_out)
     table.ops += sum(map(len, ordered)) + len(ordered)
     return [lam1[w] for w in ordered]

@@ -266,16 +266,17 @@ def _q_odd_twisted_loop(q_prod: int, cu1: int, cv0: int, tables: QuotientTables)
 # ---------------------------------------------------------------------------
 # Build.
 
-def _generate_group(gens: list) -> dict:
+def _generate_group(gens: list) -> set:
+    """The elements of the group the permutations ``gens`` generate."""
     ident = tuple(range(len(gens[0])))
-    elems = {ident: 0}
+    elems = {ident}
     queue = [ident]
     while queue:
         x = queue.pop()
         for g in gens:
             y = _compose(x, g)
             if y not in elems:
-                elems[y] = len(elems)
+                elems.add(y)
                 queue.append(y)
     return elems
 
@@ -292,18 +293,7 @@ def _normal_closure_of(elem: tuple, gens: list) -> set:
             if y not in orbit:
                 orbit.add(y)
                 queue.append(y)
-    ident = tuple(range(len(elem)))
-    closure = {ident}
-    queue = [ident]
-    orb = list(orbit)
-    while queue:
-        x = queue.pop()
-        for m in orb:
-            y = _compose(x, m)
-            if y not in closure:
-                closure.add(y)
-                queue.append(y)
-    return closure
+    return _generate_group(list(orbit))
 
 
 def _word_perm(w: str, gens: dict, size: int) -> tuple:
@@ -334,13 +324,13 @@ def build_quotient(max_depth: int | None = None) -> QuotientTables:
         abab = _word_perm("abab", gens, size)
         closure = _normal_closure_of(abab, glist)
         if len(group) // len(closure) == 16:
-            return _tables_from_group(depth, gens, glist, group, closure)
+            return _tables_from_group(depth, gens, glist, closure)
     raise BuildDivergence(
         f"index did not reach 16 by depth {max_depth}; the build is broken"
     )
 
 
-def _tables_from_group(depth, gens, glist, group, closure) -> QuotientTables:
+def _tables_from_group(depth, gens, glist, closure) -> QuotientTables:
     size = 1 << depth
     ident = tuple(range(size))
     coset_of = {}

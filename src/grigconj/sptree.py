@@ -6,15 +6,15 @@ reduced product of the sections of w·a, and words of length <= 1 are
 leaves.  Above norm 9 the child norms contract geometrically, which is
 what keeps total tree size linear in the root length.
 
-Only the totals are computed; no tree is built.  ``words.split_children``
-gives the children of any vertex.
+Only the totals are computed, with the exact norm weights; no tree is
+built.  ``words.split_children`` gives the children of any vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import EXACT_WEIGHTS, NormWeights, norm, split_children
+from .words import norm, split_children
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class SplitTree:
     height: int
 
 
-def _walk(w: str, weights: NormWeights, floor: float) -> SplitTree:
+def _walk(w: str, floor: float) -> SplitTree:
     """Totals over the vertices of norm >= ``floor`` in the splitting tree
     of ``w``.
 
@@ -39,7 +39,7 @@ def _walk(w: str, weights: NormWeights, floor: float) -> SplitTree:
     stack = [(w, 0, True)]
     while stack:
         u, depth, heavy_path = stack.pop()
-        n = norm(u, weights)
+        n = norm(u)
         heavy = n >= floor
         if heavy:
             if not heavy_path:
@@ -54,19 +54,19 @@ def _walk(w: str, weights: NormWeights, floor: float) -> SplitTree:
     return SplitTree(count, total, letters, height)
 
 
-def build_tree(w: str, weights: NormWeights = EXACT_WEIGHTS) -> SplitTree:
+def build_tree(w: str) -> SplitTree:
     """Totals of the full splitting tree of ``w``.
 
     Every vertex counts, repeats included: trees are not DAGs.
     """
-    return _walk(w, weights, 0.0)
+    return _walk(w, 0.0)
 
 
-def build_tree9(w: str, weights: NormWeights = EXACT_WEIGHTS) -> SplitTree:
+def build_tree9(w: str) -> SplitTree:
     """Totals of the subtree of the splitting tree on vertices of norm >= 9.
 
     The totals are zero when the root is already below 9.  The walk
     covers the full tree to assert that the norm >= 9 vertices are
     connected to the root.
     """
-    return _walk(w, weights, 9.0)
+    return _walk(w, 9.0)

@@ -3,14 +3,13 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_reduced
 from grigconj import engine, oracle
 from grigconj.engine import (
     ROW_CAPACITY,
-    SEPARATOR,
     CapacityViolation,
     ConjTable,
     WordRecord,
@@ -28,16 +27,17 @@ from grigconj.words import a_parity, equal, inverse, iter_reduced_words, reduce,
 class TestInitialTable:
     def test_five_seed_rows(self, tables):
         table = ConjTable(tables)
-        assert set(table.lambda2) == {
-            SEPARATOR + SEPARATOR,                      # (1, 1)
-            "",                                          # product label of a
-            SEPARATOR + "a" + SEPARATOR + "c",          # (a, c)
-            SEPARATOR + "a" + SEPARATOR + "d",          # (1-letter reps of b's sections)
-            SEPARATOR + SEPARATOR + "b",                # (1, b)
-        }
-        assert table.rows == list(table.lambda2.values())
-        for row in table.rows:
-            assert len(row) == 1
+        eps, a, b, c, d = (table.lambda1[w] for w in ("", "a", "b", "c", "d"))
+        # Keyed by the representative records of each seed's children,
+        # a pair put in the order of its words.
+        assert list(table.lambda2) == [
+            (eps, eps),     # sections of 1
+            eps,            # product child of a
+            (a, c),         # sections of b
+            (a, d),         # sections of c
+            (eps, b),       # sections of d
+        ]
+        assert table.rows == [[eps], [a], [b], [c], [d]]
 
     def test_seeds_are_their_own_representatives(self, tables):
         table = ConjTable(tables)
@@ -419,6 +419,51 @@ class TestOddWordsAgainstNaive:
                 assert res.q_set(u, v) == solver.q(u, v), (u, v)
 
 
+def make_even(w: str) -> str:
+    w = reduce(w)
+    return reduce(w + "a") if a_parity(w) else w
+
+
+@st.composite
+def swapped_batches(draw):
+    """Conjugates of an even word u: u, then a·u·a, whose sections are
+    those of u swapped, then a few conjugates of either by random words.
+    At times an unrelated even word rides along."""
+    u = draw(st.text(alphabet="abcd", min_size=1, max_size=30).map(make_even))
+    planted = [u, reduce("a" + u + "a")]
+    for x in draw(st.lists(st.text(alphabet="abcd", max_size=8).map(reduce), max_size=3)):
+        w = draw(st.sampled_from(planted[:2]))
+        planted.append(reduce(inverse(x) + w + x))
+    extra = draw(st.lists(st.text(alphabet="abcd", max_size=30).map(make_even), max_size=1))
+    return planted, extra
+
+
+class TestSwappedSections:
+    """A conjugator with odd a-count swaps the sections, so conjugate even
+    words reach one row from both orders of their section classes."""
+
+    @settings(deadline=None)
+    @example((["adab", "daba"], []))      # sections (ba, c) and (c, ba)
+    @given(swapped_batches())
+    def test_swapped_conjugates_share_a_row(self, tables, batch):
+        planted, extra = batch
+        ws = planted + extra
+        res = solve(ws, tables)
+        u, aua = res.record(planted[0]), res.record(planted[1])
+        assert (aua.child0.word, aua.child1.word) == (u.child1.word, u.child0.word)
+        row_key = {id(m): key for key, row in res.table.lambda2.items() for m in row}
+        for w in planted:
+            rec = res.record(w)
+            assert rec.rep is u.rep
+            # The row holding the representative is keyed by the classes
+            # of w's sections, in either order.
+            assert set(row_key[id(rec.rep)]) == {rec.child0.rep, rec.child1.rep}
+        solver = oracle.make_naive_solver(tables)
+        for v in ws:
+            for w in ws:
+                assert res.q_set(v, w) == solver.q(v, w), (v, w)
+
+
 class TestTableInvariants:
     def test_row_capacity_and_entry_distinctness(self, tables, rng):
         inputs = [rand_reduced(rng.randrange(0, 120), rng) for _ in range(60)]
@@ -453,9 +498,15 @@ class TestTableInvariants:
         assert 1.3 <= big / small <= 2.7
 
 
+def key_label(key):
+    """A row key as the CapacityViolation names it: the representative
+    word, or the tuple of the two."""
+    return tuple(r.word for r in key) if isinstance(key, tuple) else key.word
+
+
 def violated_label(tables, inputs) -> tuple:
     """Solve ``inputs`` the way ``solve`` does, with rows capped at one
-    member; returns the label the CapacityViolation names, and the table."""
+    member; returns the row the CapacityViolation names, and the table."""
     table = ConjTable(tables)
     with pytest.raises(CapacityViolation) as err:
         for rec in collect_universe(inputs, table):
@@ -470,19 +521,21 @@ class TestCapacityViolation:
         "inputs, label",
         [
             (["ab", "ababab"], "ad"),
-            (["adad", "cacadacabacacadacacad"], SEPARATOR + "b" + SEPARATOR + "b"),
-            # The row of cacadacacaba's children (c, ba) is stored as (ba, c).
-            (["adab", "cacadacacaba"], SEPARATOR + "ba" + SEPARATOR + "c"),
+            (["adad", "cacadacabacacadacacad"], ("b", "b")),
+            # The children of cacadacacaba have representatives (c, ba),
+            # and its row is the one of adab's, keyed (ba, c).
+            (["adab", "cacadacacaba"], ("ba", "c")),
         ],
+        ids=lambda v: "-".join(v) if isinstance(v, tuple) else None,
     )
     def test_names_the_row_found(self, tables, monkeypatch, inputs, label):
         monkeypatch.setattr(engine, "ROW_CAPACITY", 1)
         got, table = violated_label(tables, inputs)
         assert got == label
-        assert label in table.lambda2
+        assert label in map(key_label, table.lambda2)
 
     def test_seeded_two_member_rows(self, tables, monkeypatch):
-        # The two members of a row share the label of their children's
+        # The two members of a row share the key of their children's
         # classes, so solving just them at capacity 1 must overflow a row.
         rng = random.Random(44)
         kinds = set()
@@ -493,6 +546,6 @@ class TestCapacityViolation:
                 m.setattr(engine, "ROW_CAPACITY", 1)
                 for first, second in rows:
                     label, table = violated_label(tables, [first.word, second.word])
-                    assert label in table.lambda2
-                    kinds.add(label.startswith(SEPARATOR))
-        assert kinds == {True, False}
+                    assert label in map(key_label, table.lambda2)
+                    kinds.add(type(label))
+        assert kinds == {tuple, str}
