@@ -6,15 +6,19 @@ correction, and a recursion over the four parity cases of the
 coordinate-wise conjugacy systems.  The recursion reads the solve of the
 input pair: it walks down the splitting tree the engine built, takes each
 word's sections, product word and section cosets from the engine's
-records, and picks the section cosets of a witness by evaluating
+records, and finds the witness section cosets by evaluating
 ``quotient.q_even`` or ``quotient.q_odd_cosets`` on single cosets of the
-stored Q-sets.  It bottoms out in the finite universe of words of
-norm < 9, whose conjugators are tabulated once by brute force in a
-plain dict keyed on (u, v, coset).
+stored Q-sets.  Of all the witnesses at a level it lifts the one whose
+sub-conjugators are shortest; a memo on (u, v, coset) that lives for one
+``find_conjugator`` call finds each sub-conjugator once.  The recursion
+bottoms out in the finite universe of words of norm < 9, whose
+conjugators are tabulated once by brute force in a plain dict keyed on
+(u, v, coset).
 
 Every returned conjugator is verified against the word problem before it
-leaves this module; the per-call length bound of the lift and the
-per-level length recurrence are asserted on every call.
+leaves this module; every lift is checked for a residue, and the per-call
+length bound of the lift and the per-level length recurrence are asserted
+on every call.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .quotient import (
 from .words import (
     equal,
     inverse,
+    is_identity,
     iter_reduced_words,
     norm,
     norm9_universe,
@@ -135,7 +140,9 @@ def _lift(x0: str, x1: str, c0: int, c1: int, tables: QuotientTables) -> str:
     if len(x) > 2 * (len(x0) + len(x1)) + 10:
         raise AssertionError("lifted word exceeds its length bound")
     p0, p1 = phi_pair(x)
-    if not equal(p0, x0) or not equal(p1, x1):
+    # p0 = x0·r for the dihedral residue r, so x0^-1·p0 is r itself, a few
+    # letters; p0·x0^-1 = x0·r·x0^-1 would be about 2|x0| long.
+    if not is_identity(product(inverse(x0), p0)) or not equal(p1, x1):
         raise LiftResidual(
             f"lift of ({x0!r}, {x1!r}) produced sections ({p0!r}, {p1!r})"
         )
@@ -218,19 +225,36 @@ def get_base_table() -> dict:
 # Recursive search.
 
 class _Searcher:
+    """The search of one ``find_conjugator`` call.
+
+    ``memo`` maps each (u, v, g) found so far to its conjugator.  Its words
+    are universe words of the one solve, so it holds at most 16 entries per
+    pair of them, and it lives only as long as the searcher.
+    """
+
     def __init__(self, solved: engine.SolveResult, tables: QuotientTables, base: dict):
         self.solved = solved
         self.t = tables
         self.base = base
+        self.memo = {}
 
     def find(self, u: str, v: str, g: int) -> str:
-        """x with u = x^-1 v x and coset(x) = g; g must lie in Q(u, v).
+        """x with u = x^-1 v x and coset(x) = g; g must lie in Q(u, v)."""
+        key = (u, v, g)
+        x = self.memo.get(key)
+        if x is None:
+            x = self.memo[key] = self._find(u, v, g)
+        return x
+
+    def _find(self, u: str, v: str, g: int) -> str:
+        """``find`` for a slot not yet in the memo.
 
         The sections, product words and section cosets are the ones the
-        solve stored; witness section cosets are picked by evaluating
-        the Q formula on single cosets.  The cosets of the words lifted
-        follow from those by the quotient tables, so no word is walked
-        for its coset before the lift.
+        solve stored.  Every witness the Q formula accepts on single cosets
+        is found through the memo, and the one with the shortest
+        sub-conjugators is lifted; ties go to the first in coset order.
+        The cosets of the words lifted follow from the witness by the
+        quotient tables, so no word is walked for its coset before the lift.
         """
         t = self.t
         if norm(u) < 9.0 and norm(v) < 9.0:
@@ -239,6 +263,7 @@ class _Searcher:
         if ru.even != rv.even:
             raise AssertionError("mismatched parities cannot be conjugate")
         q_set = self.solved.q_set
+        find = self.find
         # The lift lands in the cosets of even a-count, the a-shift in the
         # others, so the parity of a target coset picks the one term of a
         # Q formula that can produce it.
@@ -249,39 +274,49 @@ class _Searcher:
             if not direct:
                 # The cross term pairs u1 with v0 and u0 with v1.
                 u0, u1 = u1, u0
+            witnesses = []
             for g0 in mask_cosets(q_set(u0, v0)):
                 for g1 in mask_cosets(q_set(u1, v1)):
                     m0, m1 = 1 << g0, 1 << g1
                     q = q_even(m0, m1, 0, 0, t) if direct else q_even(0, 0, m0, m1, t)
                     if q >> g & 1:
-                        x0 = self.find(u0, v0, g0)
-                        x1 = self.find(u1, v1, g1)
-                        x = _lift(x0, x1, g0, g1, t)
-                        if not direct:
-                            x = product(x, "a")
-                        return self._check(u, v, g, x, max(len(x0), len(x1)))
-            raise AssertionError(f"no section cosets produce {g} for ({u!r}, {v!r})")
+                        witnesses.append((g0, g1))
+            if not witnesses:
+                raise AssertionError(f"no section cosets produce {g} for ({u!r}, {v!r})")
+            g0, g1 = min(
+                witnesses, key=lambda w: len(find(u0, v0, w[0])) + len(find(u1, v1, w[1]))
+            )
+            x0, x1 = find(u0, v0, g0), find(u1, v1, g1)
+            x = _lift(x0, x1, g0, g1, t)
+            if not direct:
+                x = product(x, "a")
+            return self._check(u, v, g, x, max(len(x0), len(x1)))
         p, q = ru.child.word, rv.child.word
         u0, u1, v1 = ru.sec0, ru.sec1, rv.sec1
+        witnesses = [
+            gp
+            for gp in mask_cosets(q_set(p, q))
+            if q_odd_cosets(1 << gp, ru.oc1, rv.oc0, rv.oc1, t) >> g & 1
+        ]
+        if not witnesses:
+            raise AssertionError(f"no product coset produces {g} for ({u!r}, {v!r})")
+        gp = min(witnesses, key=lambda c: len(find(p, q, c)))
+        z = find(p, q, gp)
         mul = t.mul
         iu0, iu1 = t.inv[ru.oc0], t.inv[ru.oc1]
-        for gp in mask_cosets(q_set(p, q)):
-            if q_odd_cosets(1 << gp, ru.oc1, rv.oc0, rv.oc1, t) >> g & 1:
-                z = self.find(p, q, gp)
-                if direct:
-                    # Even conjugator: x = (z, v1 z u1^-1).
-                    x1 = product(product(v1, z), inverse(u1))
-                    c1 = mul[mul[rv.oc1][gp]][iu1]
-                    x = _lift(z, x1, gp, c1, t)
-                else:
-                    # Odd conjugator: x·a has sections (z u1^-1, v1 z u1^-1 u0^-1).
-                    x0 = product(z, inverse(u1))
-                    x1 = product(product(v1, x0), inverse(u0))
-                    c0 = mul[gp][iu1]
-                    c1 = mul[mul[rv.oc1][c0]][iu0]
-                    x = product(_lift(x0, x1, c0, c1, t), "a")
-                return self._check(u, v, g, x, len(z))
-        raise AssertionError(f"no product coset produces {g} for ({u!r}, {v!r})")
+        if direct:
+            # Even conjugator: x = (z, v1 z u1^-1).
+            x1 = product(product(v1, z), inverse(u1))
+            c1 = mul[mul[rv.oc1][gp]][iu1]
+            x = _lift(z, x1, gp, c1, t)
+        else:
+            # Odd conjugator: x·a has sections (z u1^-1, v1 z u1^-1 u0^-1).
+            x0 = product(z, inverse(u1))
+            x1 = product(product(v1, x0), inverse(u0))
+            c0 = mul[gp][iu1]
+            c1 = mul[mul[rv.oc1][c0]][iu0]
+            x = product(_lift(x0, x1, c0, c1, t), "a")
+        return self._check(u, v, g, x, len(z))
 
     def _check(self, u: str, v: str, g: int, x: str, child_len: int) -> str:
         bound = 4 * child_len + 4 * (len(u) + len(v)) + 11

@@ -250,12 +250,18 @@ def test_criterion_7_linear_scaling(tables):
 
 # -- 8 -----------------------------------------------------------------------
 
+# Conjugator letters returned on criterion 8's corpus by the search that took
+# the first witness coset at each level (measured before it was replaced).
+FIRST_WITNESS_LETTERS = 36_948
+
+
 def test_criterion_8_conjugator_bounds(tables, base_table):
     # The implementation asserts, on every call, the lift length bound
     # |x| <= 2(|x0|+|x1|)+10 and the per-level recurrence
     # |x| <= 4 L_child + 4(|u|+|v|) + 11; this corpus drives both paths.
     rng = random.Random(46)
     worst_poly = 0.0
+    letters_in = letters_out = 0
     for _ in range(150):
         v = rand_reduced(rng.randrange(0, 60), rng)
         x = rand_reduced(rng.randrange(0, 60), rng)
@@ -265,6 +271,11 @@ def test_criterion_8_conjugator_bounds(tables, base_table):
         assert equal(u, reduce(inverse(got) + v + got))
         n = max(2, len(u) + len(v))
         worst_poly = max(worst_poly, math.log(max(len(got), 1), n))
+        letters_in += len(u) + len(v)
+        letters_out += len(got)
+    # Length regression: the shortest-witness search keeps at least 30%
+    # off the first-witness total.
+    assert letters_out <= 0.7 * FIRST_WITNESS_LETTERS
     for x0len, x1len in ((0, 0), (3, 7), (12, 5)):
         x0 = rand_reduced(x0len, rng)
         x1 = rand_reduced(x1len, rng)
@@ -273,7 +284,8 @@ def test_criterion_8_conjugator_bounds(tables, base_table):
             assert len(lifted) <= 2 * (len(x0) + len(x1)) + 10
     _report(
         "criterion 8",
-        f"150 conjugators verified; max log_n |x| = {worst_poly:.2f} (monitored, bound 8)",
+        f"150 conjugators verified; max log_n |x| = {worst_poly:.2f} (monitored, bound 8); "
+        f"{letters_out} conjugator letters for {letters_in} input letters",
     )
 
 

@@ -1,3 +1,6 @@
+import random
+import weakref
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from grigconj import engine
 from grigconj import search as search_mod
 from grigconj.quotient import IDENTITY_COSET, coset
 from grigconj.search import (
+    LiftResidual,
     NotDihedral,
     NotLiftable,
     build_base_conj_table,
@@ -22,8 +26,22 @@ from grigconj.words import (
     iter_reduced_words,
     norm,
     phi_pair,
+    product,
     reduce,
 )
+
+# Broken lifts: (module attribute, replacement built from the original).
+_LIFT_MUTANTS = {
+    # No dihedral correction: the right section keeps delta0.
+    "no-delta0": ("dihedral_normalize", lambda orig: lambda w: ""),
+    # No tau1 factor: the right section stays delta0.
+    "empty-tau1": ("tau", lambda orig: lambda which, w: orig(which, w) if which == 0 else ""),
+    # z0 times ada = (d, 1): a dihedral residue on the left section only.
+    "residue-0": (
+        "tau",
+        lambda orig: lambda which, w: product(orig(0, w), "ada") if which == 0 else orig(1, w),
+    ),
+}
 
 
 class TestTau:
@@ -138,6 +156,33 @@ class TestLiftWord:
         with pytest.raises(NotLiftable):
             lift_word(bad[0], bad[1], tables)
 
+    @pytest.mark.parametrize("mutant", list(_LIFT_MUTANTS))
+    def test_residual_check_catches_broken_lifts(self, tables, rng, monkeypatch, mutant):
+        # A broken lift must raise LiftResidual whenever it builds a word
+        # other than the true lift, and return the true lift otherwise.
+        pairs = []
+        while len(pairs) < 40:
+            x0 = rand_reduced(rng.randrange(0, 30), rng)
+            x1 = rand_reduced(rng.randrange(0, 30), rng)
+            c0, c1 = coset(x0, tables), coset(x1, tables)
+            if tables.lift[(c0 << 4) | c1] >= 0:
+                pairs.append((x0, x1, c0, c1, search_mod._lift(x0, x1, c0, c1, tables)))
+        attr, make = _LIFT_MUTANTS[mutant]
+        monkeypatch.setattr(search_mod, attr, make(getattr(search_mod, attr)))
+        built = []
+        sections = search_mod.phi_pair
+        monkeypatch.setattr(search_mod, "phi_pair", lambda w: built.append(w) or sections(w))
+        caught = 0
+        for x0, x1, c0, c1, good in pairs:
+            try:
+                x = search_mod._lift(x0, x1, c0, c1, tables)
+            except LiftResidual:
+                assert built[-1] != good
+                caught += 1
+            else:
+                assert x == good
+        assert caught >= len(pairs) * 3 // 4
+
     def test_even_output(self, tables, rng):
         for _ in range(30):
             x = rand_reduced(2 * rng.randrange(0, 15), rng)
@@ -241,6 +286,43 @@ class TestFindConjugator:
                 got = find_conjugator(u, v, tables=tables, base=base_table)
                 assert got is not None
                 assert equal(u, reduce(inverse(got) + v + got))
+
+
+class TestSearchMemo:
+    @pytest.fixture
+    def searchers(self, monkeypatch):
+        # Every searcher a call creates, kept by weak reference, and its memo.
+        made = []
+
+        class Recording(search_mod._Searcher):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append((weakref.ref(self), self.memo, self.solved.table.lambda1))
+
+        monkeypatch.setattr(search_mod, "_Searcher", Recording)
+        return made
+
+    def test_keys_bounded_by_the_solve(self, tables, base_table, searchers):
+        rng = random.Random(11)
+        for _ in range(20):
+            v = rand_reduced(rng.randrange(20, 80), rng)
+            x = rand_reduced(rng.randrange(0, 40), rng)
+            u = reduce(inverse(x) + v + x)
+            got = find_conjugator(u, v, tables=tables, base=base_table)
+            assert got == find_conjugator(u, v, tables=tables, base=base_table)
+            assert equal(u, reduce(inverse(got) + v + got))
+        assert len(searchers) == 40
+        assert len({id(memo) for _, memo, _ in searchers}) == 40
+        for ref, memo, lambda1 in searchers:
+            assert ref() is None
+            assert memo
+            for u1, v1, g in memo:
+                assert u1 in lambda1 and v1 in lambda1 and 0 <= g < 16
+            assert len(memo) <= len(lambda1) ** 2 * 16
+
+    def test_base_table_answers_unchanged(self, tables, base_table):
+        for (u, v, g), x in list(base_table.items())[::7]:
+            assert find_conjugator(u, v, g, tables=tables, base=base_table) == x
 
 
 class TestBaseTableCompleteness:
