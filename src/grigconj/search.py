@@ -15,10 +15,14 @@ bottoms out in the finite universe of words of norm < 9, whose
 conjugators are tabulated once by brute force in a plain dict keyed on
 (u, v, coset).
 
-Every returned conjugator is verified against the word problem before it
-leaves this module; every lift is checked for a residue, and the per-call
-length bound of the lift and the per-level length recurrence are asserted
-on every call.
+Checks.  The search asserts only two cheap bounds as it goes: the length
+of each lift and the length recurrence of each level.  ``find_conjugator``
+then checks the conjugator it returns once, for its coset and against the
+word problem (u = x^-1 v x), so a wrong lift at any level fails there.
+If that check or a bound fails, the call runs the search again with every
+level checked, each lift for a residue on its sections and each level's
+conjugator as the final one is, and its error names the deepest level
+that broke.  The public ``lift_word`` checks every lift for a residue.
 """
 
 from __future__ import annotations
@@ -126,11 +130,14 @@ def lift_word(x0: str, x1: str, tables: QuotientTables | None = None) -> str:
     """
     if tables is None:
         tables = get_tables()
-    return _lift(x0, x1, coset(x0, tables), coset(x1, tables), tables)
+    x = _lift(x0, x1, coset(x0, tables), coset(x1, tables), tables)
+    _check_lift(x0, x1, x)
+    return x
 
 
 def _lift(x0: str, x1: str, c0: int, c1: int, tables: QuotientTables) -> str:
-    """``lift_word`` for sections whose cosets c0, c1 are known."""
+    """``lift_word`` for sections whose cosets c0, c1 are known, without
+    the residue check."""
     if tables.lift[(c0 << 4) | c1] < 0:
         raise NotLiftable(f"cosets of ({x0!r}, {x1!r}) are not a section pair")
     z0 = tau(0, x0)
@@ -138,7 +145,12 @@ def _lift(x0: str, x1: str, c0: int, c1: int, tables: QuotientTables) -> str:
     z1 = tau(1, product(inverse(delta0), x1))
     x = product(z0, z1)
     if len(x) > 2 * (len(x0) + len(x1)) + 10:
-        raise AssertionError("lifted word exceeds its length bound")
+        raise AssertionError(f"lift of ({x0!r}, {x1!r}) exceeds its length bound")
+    return x
+
+
+def _check_lift(x0: str, x1: str, x: str) -> None:
+    """Raise ``LiftResidual`` unless the sections of x equal (x0, x1)."""
     p0, p1 = phi_pair(x)
     # p0 = x0·r for the dihedral residue r, so x0^-1·p0 is r itself, a few
     # letters; p0·x0^-1 = x0·r·x0^-1 would be about 2|x0| long.
@@ -146,7 +158,6 @@ def _lift(x0: str, x1: str, c0: int, c1: int, tables: QuotientTables) -> str:
         raise LiftResidual(
             f"lift of ({x0!r}, {x1!r}) produced sections ({p0!r}, {p1!r})"
         )
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +298,7 @@ class _Searcher:
                 witnesses, key=lambda w: len(find(u0, v0, w[0])) + len(find(u1, v1, w[1]))
             )
             x0, x1 = find(u0, v0, g0), find(u1, v1, g1)
-            x = _lift(x0, x1, g0, g1, t)
+            x = self._lift(x0, x1, g0, g1)
             if not direct:
                 x = product(x, "a")
             return self._check(u, v, g, x, max(len(x0), len(x1)))
@@ -308,15 +319,18 @@ class _Searcher:
             # Even conjugator: x = (z, v1 z u1^-1).
             x1 = product(product(v1, z), inverse(u1))
             c1 = mul[mul[rv.oc1][gp]][iu1]
-            x = _lift(z, x1, gp, c1, t)
+            x = self._lift(z, x1, gp, c1)
         else:
             # Odd conjugator: x·a has sections (z u1^-1, v1 z u1^-1 u0^-1).
             x0 = product(z, inverse(u1))
             x1 = product(product(v1, x0), inverse(u0))
             c0 = mul[gp][iu1]
             c1 = mul[mul[rv.oc1][c0]][iu0]
-            x = product(_lift(x0, x1, c0, c1, t), "a")
+            x = product(self._lift(x0, x1, c0, c1), "a")
         return self._check(u, v, g, x, len(z))
+
+    def _lift(self, x0: str, x1: str, c0: int, c1: int) -> str:
+        return _lift(x0, x1, c0, c1, self.t)
 
     def _check(self, u: str, v: str, g: int, x: str, child_len: int) -> str:
         bound = 4 * child_len + 4 * (len(u) + len(v)) + 11
@@ -324,9 +338,45 @@ class _Searcher:
             raise AssertionError(
                 f"conjugator length {len(x)} exceeds recurrence bound {bound}"
             )
-        if coset(x, self.t) != g:
-            raise AssertionError("conjugator landed in the wrong coset")
         return x
+
+
+class _CheckedSearcher(_Searcher):
+    """The search of a call whose conjugator failed its check, run again
+    with every lift checked for a residue and every level's conjugator
+    checked as the final one is.  The first check to fail is at the
+    deepest level that broke; ``path`` then holds the slots (u, v, g) from
+    the top (level 0) down to that level.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.path = []
+
+    def find(self, u: str, v: str, g: int) -> str:
+        self.path.append((u, v, g))
+        x = super().find(u, v, g)
+        self.path.pop()
+        return x
+
+    def _find(self, u: str, v: str, g: int) -> str:
+        x = super()._find(u, v, g)
+        _verify(u, v, g, x, self.t)
+        return x
+
+    def _lift(self, x0: str, x1: str, c0: int, c1: int) -> str:
+        x = super()._lift(x0, x1, c0, c1)
+        _check_lift(x0, x1, x)
+        return x
+
+
+def _verify(u: str, v: str, g: int, x: str, tables: QuotientTables) -> None:
+    """Raise ``AssertionError`` unless u = x^-1 v x and x lies in coset g."""
+    c = coset(x, tables)
+    if c != g:
+        raise AssertionError(f"conjugator landed in coset {c}")
+    if not equal(u, product(product(inverse(x), v), x)):
+        raise AssertionError("conjugator failed verification")
 
 
 def find_conjugator(
@@ -341,7 +391,7 @@ def find_conjugator(
     When ``g`` is given, x must also lie in coset ``g``, a coset id in
     0..15; any other ``g`` raises ``ValueError``.
     """
-    if g is not None and not 0 <= g < 16:
+    if g is not None and (type(g) is not int or not 0 <= g < 16):
         raise ValueError(f"g must be a coset id in 0..15, got {g!r}")
     if tables is None:
         tables = get_tables()
@@ -356,7 +406,22 @@ def find_conjugator(
         g = mask_cosets(q)[0]
     elif not q >> g & 1:
         return None
-    x = _Searcher(solved, tables, base).find(u, v, g)
-    if not equal(u, product(product(inverse(x), v), x)):
-        raise AssertionError("constructed conjugator failed verification")
-    return x
+    try:
+        x = _Searcher(solved, tables, base).find(u, v, g)
+        _verify(u, v, g, x, tables)
+        return x
+    except (AssertionError, NotLiftable) as exc:
+        fault = exc
+    # Search again with every level checked; it stops at the deepest
+    # level that broke.  Should it pass, the error names the top.
+    checked = _CheckedSearcher(solved, tables, base)
+    try:
+        checked.find(u, v, g)
+    except (AssertionError, NotLiftable, LiftResidual) as exc:
+        fault = exc
+    path = checked.path or [(u, v, g)]
+    su, sv, sg = path[-1]
+    raise AssertionError(
+        f"conjugator search broke at level {len(path) - 1}, (u, v, g) = "
+        f"({su!r}, {sv!r}, {sg}): {fault}"
+    ) from fault

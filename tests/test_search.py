@@ -1,4 +1,5 @@
 import random
+import re
 import weakref
 
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import get_from_threads, rand_reduced
-from grigconj import engine
+from grigconj import cli, engine
 from grigconj import search as search_mod
-from grigconj.quotient import IDENTITY_COSET, coset
+from grigconj.quotient import IDENTITY_COSET, coset, get_tables
 from grigconj.search import (
     LiftResidual,
     NotDihedral,
@@ -42,6 +43,34 @@ _LIFT_MUTANTS = {
         lambda orig: lambda which, w: product(orig(0, w), "ada") if which == 0 else orig(1, w),
     ),
 }
+
+
+def _patch_mutant(monkeypatch, mutant):
+    attr, make = _LIFT_MUTANTS[mutant]
+    monkeypatch.setattr(search_mod, attr, make(getattr(search_mod, attr)))
+
+
+def _planted_above_base(count, rng):
+    """(u, v) with u = x^-1 v x and both words above the base table."""
+    pairs = []
+    while len(pairs) < count:
+        v = rand_reduced(rng.randrange(16, 48), rng)
+        x = rand_reduced(rng.randrange(0, 16), rng)
+        u = reduce(inverse(x) + v + x)
+        if norm(u) >= 9 and norm(v) >= 9:
+            pairs.append((u, v))
+    return pairs
+
+
+def _assert_sections(x, x0, x1):
+    p0, p1 = phi_pair(x)
+    assert equal(p0, x0) and equal(p1, x1), (x0, x1, x)
+
+
+# A shortest word of each coset.
+_COSET_WORDS = {}
+for _w in iter_reduced_words(4):
+    _COSET_WORDS.setdefault(coset(_w, get_tables()), _w)
 
 
 class TestTau:
@@ -164,18 +193,16 @@ class TestLiftWord:
         while len(pairs) < 40:
             x0 = rand_reduced(rng.randrange(0, 30), rng)
             x1 = rand_reduced(rng.randrange(0, 30), rng)
-            c0, c1 = coset(x0, tables), coset(x1, tables)
-            if tables.lift[(c0 << 4) | c1] >= 0:
-                pairs.append((x0, x1, c0, c1, search_mod._lift(x0, x1, c0, c1, tables)))
-        attr, make = _LIFT_MUTANTS[mutant]
-        monkeypatch.setattr(search_mod, attr, make(getattr(search_mod, attr)))
+            if tables.lift[(coset(x0, tables) << 4) | coset(x1, tables)] >= 0:
+                pairs.append((x0, x1, lift_word(x0, x1, tables)))
+        _patch_mutant(monkeypatch, mutant)
         built = []
         sections = search_mod.phi_pair
         monkeypatch.setattr(search_mod, "phi_pair", lambda w: built.append(w) or sections(w))
         caught = 0
-        for x0, x1, c0, c1, good in pairs:
+        for x0, x1, good in pairs:
             try:
-                x = search_mod._lift(x0, x1, c0, c1, tables)
+                x = lift_word(x0, x1, tables)
             except LiftResidual:
                 assert built[-1] != good
                 caught += 1
@@ -190,6 +217,109 @@ class TestLiftWord:
                 continue
             x0, x1 = phi_pair(x)
             assert a_parity(lift_word(x0, x1, tables)) == 0
+
+
+# What the searcher no longer checks on each lift: the sections of
+# _lift(x0, x1, c0, c1) equal (x0, x1) in the group.
+
+def _lift_in_every_pair(w0, w1, tables):
+    # Move w0 and w1 into each liftable coset pair by a short suffix.
+    mul, inv = tables.mul, tables.inv
+    for c0, c1 in tables.pairs:
+        x0 = product(w0, _COSET_WORDS[mul[inv[coset(w0, tables)]][c0]])
+        x1 = product(w1, _COSET_WORDS[mul[inv[coset(w1, tables)]][c1]])
+        _assert_sections(search_mod._lift(x0, x1, c0, c1, tables), x0, x1)
+
+
+_DIHEDRAL_HEAVY = st.lists(st.sampled_from("adadadadbc"), max_size=60).map("".join).map(reduce)
+
+
+@given(st.text(alphabet="abcd", max_size=60).map(reduce),
+       st.text(alphabet="abcd", max_size=60).map(reduce))
+def test_lift_sections_random(tables, w0, w1):
+    _lift_in_every_pair(w0, w1, tables)
+
+
+@given(_DIHEDRAL_HEAVY, _DIHEDRAL_HEAVY)
+def test_lift_sections_dihedral(tables, w0, w1):
+    _lift_in_every_pair(w0, w1, tables)
+
+
+def test_lift_sections_of_the_searcher(tables, base_table, monkeypatch):
+    lifts = []
+    lift = search_mod._lift
+
+    def recording(x0, x1, c0, c1, t):
+        x = lift(x0, x1, c0, c1, t)
+        lifts.append((x, x0, x1))
+        return x
+
+    monkeypatch.setattr(search_mod, "_lift", recording)
+    for u, v in _planted_above_base(12, random.Random(5)):
+        find_conjugator(u, v, tables=tables, base=base_table)
+    assert len(lifts) > 50
+    for x, x0, x1 in lifts:
+        _assert_sections(x, x0, x1)
+
+
+@pytest.mark.parametrize("mutant", list(_LIFT_MUTANTS))
+def test_lift_section_tests_fail_every_mutant(tables, base_table, monkeypatch, mutant):
+    # The two property tests' body on seeded draws of their kinds of
+    # sections, then the searcher's lifts.
+    rng = random.Random(9)
+    _patch_mutant(monkeypatch, mutant)
+    for letters in ("abcd", "adadadadbc"):
+        with pytest.raises(AssertionError):
+            for _ in range(20):
+                w0, w1 = (reduce("".join(rng.choices(letters, k=40))) for _ in range(2))
+                _lift_in_every_pair(w0, w1, tables)
+    with pytest.raises(AssertionError):
+        test_lift_sections_of_the_searcher(tables, base_table, monkeypatch)
+
+
+class TestFailurePath:
+    """A broken lift makes ``find_conjugator`` raise, naming the deepest
+    level that broke, and the CLI report it as an internal error."""
+
+    LEVEL = re.compile(r"conjugator search broke at level (\d+), "
+                       r"\(u, v, g\) = \('([abcd]*)', '([abcd]*)', (\d+)\): ")
+
+    @pytest.mark.parametrize("mutant", list(_LIFT_MUTANTS))
+    def test_error_names_the_level(self, tables, base_table, monkeypatch, mutant):
+        pairs = _planted_above_base(12, random.Random(3))
+        good = [find_conjugator(u, v, tables=tables, base=base_table) for u, v in pairs]
+        _patch_mutant(monkeypatch, mutant)
+        caught = 0
+        for (u, v), x in zip(pairs, good):
+            try:
+                got = find_conjugator(u, v, tables=tables, base=base_table)
+            except AssertionError as exc:
+                err = str(exc)
+            else:
+                # A mutant that builds the same words gives the same answer.
+                assert got == x
+                continue
+            caught += 1
+            m = self.LEVEL.match(err)
+            assert m, err
+            level, su, sv, sg = int(m[1]), m[2], m[3], int(m[4])
+            # The named slot is one the search of this pair visits.
+            solved = engine.solve([u, v], tables)
+            assert su in solved.table.lambda1 and sv in solved.table.lambda1
+            assert solved.q_set(su, sv) >> sg & 1
+            assert (level == 0) == (su == u and sv == v)
+        assert caught >= len(pairs) * 3 // 4
+
+    @pytest.mark.parametrize("mutant", list(_LIFT_MUTANTS))
+    def test_cli_exits_three(self, monkeypatch, capsys, mutant):
+        (u, v), = _planted_above_base(1, random.Random(3))
+        _patch_mutant(monkeypatch, mutant)
+        assert cli.run(["conjugator", u, v]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: internal: AssertionError: conjugator search broke at level ")
 
 
 class TestBaseConjTable:
@@ -233,7 +363,7 @@ class TestFindConjugator:
         missing = next(g for g in range(16) if not q >> g & 1)
         assert find_conjugator("b", "b", missing, tables=tables, base=base_table) is None
 
-    @pytest.mark.parametrize("g", [-1, 16])
+    @pytest.mark.parametrize("g", [-1, 16, 1.5, 5.0, "3", True])
     def test_g_outside_coset_ids_raises(self, tables, base_table, g):
         with pytest.raises(ValueError, match="g must be a coset id in 0..15"):
             find_conjugator("aba", "b", g, tables=tables, base=base_table)
