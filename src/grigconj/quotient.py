@@ -37,6 +37,7 @@ and builds the even case lazily from the same ``lift_set_product`` and
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from dataclasses import dataclass, field, replace
@@ -266,50 +267,34 @@ def _q_odd_twisted_loop(q_prod: int, cu1: int, cv0: int, tables: QuotientTables)
 # ---------------------------------------------------------------------------
 # Build.
 
-def _generate_group(gens: list) -> set:
-    """The elements of the group the permutations ``gens`` generate."""
-    ident = tuple(range(len(gens[0])))
-    elems = {ident}
-    queue = [ident]
+def _closure(seeds, step) -> set:
+    """Everything reachable from ``seeds`` by ``step``, which maps an
+    element to the elements one step away."""
+    seen = set(seeds)
+    queue = list(seen)
     while queue:
-        x = queue.pop()
-        for g in gens:
-            y = _compose(x, g)
-            if y not in elems:
-                elems.add(y)
+        for y in step(queue.pop()):
+            if y not in seen:
+                seen.add(y)
                 queue.append(y)
-    return elems
+    return seen
 
 
 def _normal_closure_of(elem: tuple, gens: list) -> set:
     # Conjugacy-orbit of the element, then the subgroup it generates.
-    orbit = {elem}
-    queue = [elem]
-    inv_gens = [_invert(g) for g in gens]
-    while queue:
-        x = queue.pop()
-        for g, gi in zip(gens, inv_gens):
-            y = _compose(_compose(gi, x), g)
-            if y not in orbit:
-                orbit.add(y)
-                queue.append(y)
-    return _generate_group(list(orbit))
-
-
-def _word_perm(w: str, gens: dict, size: int) -> tuple:
-    cur = tuple(range(size))
-    for ch in w:
-        cur = _compose(cur, gens[ch])
-    return cur
+    pairs = [(_invert(g), g) for g in gens]
+    orbit = _closure([elem], lambda x: [_compose(_compose(gi, x), g) for gi, g in pairs])
+    return _closure([tuple(range(len(elem)))], lambda x: [_compose(x, y) for y in orbit])
 
 
 def build_quotient(max_depth: int | None = None) -> QuotientTables:
     """Derive all quotient tables from scratch.
 
     Generators are truncated at increasing depth until the index of the
-    normal closure of abab stabilizes at 16.  The index can never exceed
-    16, so reaching it certifies that the level stabilizer lies inside K
-    and the finite computation is exact from that depth on.
+    normal closure of abab reaches 16.  The index is read off the coset
+    walk that numbers the cosets.  It can never exceed 16, so reaching it
+    certifies that the level stabilizer lies inside K and the finite
+    computation is exact from that depth on.
     """
     if max_depth is None:
         raw = os.environ.get("GRIG_MAX_DEPTH", "8")
@@ -317,39 +302,34 @@ def build_quotient(max_depth: int | None = None) -> QuotientTables:
         if max_depth < 1:
             raise ConfigError(f"GRIG_MAX_DEPTH must be an integer >= 1, got {raw!r}")
     for depth in range(1, max_depth + 1):
-        gens = generator_leaf_perms(depth)
-        glist = [gens[ch] for ch in "abcd"]
-        size = 1 << depth
-        group = _generate_group(glist)
-        abab = _word_perm("abab", gens, size)
-        closure = _normal_closure_of(abab, glist)
-        if len(group) // len(closure) == 16:
-            return _tables_from_group(depth, gens, glist, closure)
+        tables = _tables_from_group(depth)
+        if tables is not None:
+            return tables
     raise BuildDivergence(
         f"index did not reach 16 by depth {max_depth}; the build is broken"
     )
 
 
-def _tables_from_group(depth, gens, glist, closure) -> QuotientTables:
-    size = 1 << depth
-    ident = tuple(range(size))
-    coset_of = {}
+def _tables_from_group(depth: int) -> QuotientTables | None:
+    """The tables from the generators truncated at ``depth``, or None when
+    the coset walk finds fewer than 16 cosets of the normal closure of abab."""
+    gens = generator_leaf_perms(depth)
+    glist = [gens[ch] for ch in "abcd"]
+    closure = _normal_closure_of(functools.reduce(_compose, (gens[ch] for ch in "abab")), glist)
+    ident = tuple(range(1 << depth))
+    coset_of = dict.fromkeys(closure, 0)
     reps = [ident]
-    for p in closure:
-        coset_of[p] = 0
-    queue = [ident]
-    while queue:
-        r = queue.pop(0)
+    # Breadth first over the growing list: the order of discovery numbers
+    # the cosets.
+    for r in reps:
         for g in glist:
             s = _compose(r, g)
             if s not in coset_of:
-                cid = len(reps)
-                reps.append(s)
                 for p in closure:
-                    coset_of[_compose(p, s)] = cid
-                queue.append(s)
+                    coset_of[_compose(p, s)] = len(reps)
+                reps.append(s)
     if len(reps) != 16:
-        raise BuildDivergence(f"found {len(reps)} cosets, expected 16")
+        return None
 
     mul = tuple(
         tuple(coset_of[_compose(reps[i], reps[j])] for j in range(16))
@@ -373,19 +353,15 @@ def _tables_from_group(depth, gens, glist, closure) -> QuotientTables:
     # function; it is asserted, not assumed.
     lift = [-1] * 256
     gen_triples = [(cw(p0), cw(p1), cw(w)) for (w, p0, p1) in _ST1_GENERATORS]
-    seen = {(0, 0, 0)}
-    queue = [(0, 0, 0)]
-    while queue:
-        x0, x1, xw = queue.pop()
+
+    def step(x):
+        return [(mul[x[0]][g0], mul[x[1]][g1], mul[x[2]][gw]) for g0, g1, gw in gen_triples]
+
+    for x0, x1, xw in _closure([(0, 0, 0)], step):
         idx = (x0 << 4) | x1
         if lift[idx] >= 0 and lift[idx] != xw:
             raise BuildDivergence("lift table is not single-valued")
         lift[idx] = xw
-        for g0, g1, gw in gen_triples:
-            y = (mul[x0][g0], mul[x1][g1], mul[xw][gw])
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
 
     # shift_a by bytes: the image of every mask of the low and the high
     # eight cosets.

@@ -15,14 +15,15 @@ bottoms out in the finite universe of words of norm < 9, whose
 conjugators are tabulated once by brute force in a plain dict keyed on
 (u, v, coset).
 
-Checks.  The search asserts only two cheap bounds as it goes: the length
-of each lift and the length recurrence of each level.  ``find_conjugator``
-then checks the conjugator it returns once, for its coset and against the
-word problem (u = x^-1 v x), so a wrong lift at any level fails there.
-If that check or a bound fails, the call runs the search again with every
-level checked, each lift for a residue on its sections and each level's
-conjugator as the final one is, and its error names the deepest level
-that broke.  The public ``lift_word`` checks every lift for a residue.
+Checks.  One searcher class runs every search.  It asserts only two cheap
+bounds as it goes: the length of each lift and the length recurrence of
+each level.  ``find_conjugator`` then checks the conjugator it returns
+once, for its coset and against the word problem (u = x^-1 v x), so a
+wrong lift at any level fails there.  If that check or a bound fails, the
+call runs the search again on a searcher with its checks turned on: each
+lift is checked for a residue on its sections and each level's conjugator
+as the final one is, and the error names the deepest level that broke.
+The public ``lift_word`` checks every lift for a residue.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ def dihedral_normalize(w: str) -> str:
 
 
 def lift_word(x0: str, x1: str, tables: QuotientTables | None = None) -> str:
-    """A word x with even a-count whose sections equal the reduced words
-    (x0, x1) in the group.
+    """A word x with even a-count whose sections equal (x0, x1) in the
+    group.  Both are parsed as ``find_conjugator`` parses its words.
 
     z0 = tau0(x0) has sections (x0, delta0) with delta0 dihedral;
     z1 = tau1(delta0^-1 x1) then repairs the right section.  The residue
@@ -130,6 +131,7 @@ def lift_word(x0: str, x1: str, tables: QuotientTables | None = None) -> str:
     """
     if tables is None:
         tables = get_tables()
+    x0, x1 = parse(x0), parse(x1)
     x = _lift(x0, x1, coset(x0, tables), coset(x1, tables), tables)
     _check_lift(x0, x1, x)
     return x
@@ -183,38 +185,31 @@ def build_base_conj_table(tables: QuotientTables | None = None, max_len: int = 2
     for w in universe:
         classes.setdefault(solved.representative(w), []).append(w)
 
-    want: dict = {}
-    for rep, members in classes.items():
-        for v in members:
-            for u in members:
-                q = solved.q_set(u, v)
-                for g in range(16):
-                    if q >> g & 1:
-                        want.setdefault(v, set()).add((u, g))
-
     slots: dict = {}
-    for v, open_slots in want.items():
-        by_coset: dict = {}
-        for u, g in open_slots:
-            by_coset.setdefault(g, set()).add(u)
-        for x in iter_reduced_words(max_len):
-            if not by_coset:
-                break
-            cx = coset(x, tables)
-            candidates = by_coset.get(cx)
-            if not candidates:
-                continue
-            y = product(product(inverse(x), v), x)
-            hits = [u for u in candidates if u == y or equal(u, y)]
-            for u in hits:
-                slots[(u, v, cx)] = x
-                candidates.discard(u)
-            if not candidates:
-                del by_coset[cx]
-        if by_coset:
-            raise BaseIncomplete(
-                f"slots for {v!r} unwitnessed at length {max_len}: {sorted(by_coset)}"
-            )
+    for members in classes.values():
+        for v in members:
+            by_coset: dict = {}
+            for u in members:
+                for g in mask_cosets(solved.q_set(u, v)):
+                    by_coset.setdefault(g, set()).add(u)
+            for x in iter_reduced_words(max_len):
+                if not by_coset:
+                    break
+                cx = coset(x, tables)
+                candidates = by_coset.get(cx)
+                if not candidates:
+                    continue
+                y = product(product(inverse(x), v), x)
+                hits = [u for u in candidates if u == y or equal(u, y)]
+                for u in hits:
+                    slots[(u, v, cx)] = x
+                    candidates.discard(u)
+                if not candidates:
+                    del by_coset[cx]
+            if by_coset:
+                raise BaseIncomplete(
+                    f"slots for {v!r} unwitnessed at length {max_len}: {sorted(by_coset)}"
+                )
     return slots
 
 
@@ -240,21 +235,32 @@ class _Searcher:
 
     ``memo`` maps each (u, v, g) found so far to its conjugator.  Its words
     are universe words of the one solve, so it holds at most 16 entries per
-    pair of them, and it lives only as long as the searcher.
+    pair of them, and it lives only as long as the searcher.  ``path``
+    holds the slots being searched, from the top (level 0) down.  A
+    ``checked`` searcher also checks each lift for a residue and each
+    level's conjugator as the final one is, so the first check to fail is
+    at the deepest level that broke, where ``path`` ends.
     """
 
-    def __init__(self, solved: engine.SolveResult, tables: QuotientTables, base: dict):
+    def __init__(self, solved: engine.SolveResult, tables: QuotientTables, base: dict, checked=False):
         self.solved = solved
         self.t = tables
         self.base = base
+        self.checked = checked
         self.memo = {}
+        self.path = []
 
     def find(self, u: str, v: str, g: int) -> str:
         """x with u = x^-1 v x and coset(x) = g; g must lie in Q(u, v)."""
         key = (u, v, g)
         x = self.memo.get(key)
         if x is None:
-            x = self.memo[key] = self._find(u, v, g)
+            self.path.append(key)
+            x = self._find(u, v, g)
+            if self.checked:
+                _verify(u, v, g, x, self.t)
+            self.memo[key] = x
+            self.path.pop()
         return x
 
     def _find(self, u: str, v: str, g: int) -> str:
@@ -301,7 +307,7 @@ class _Searcher:
             x = self._lift(x0, x1, g0, g1)
             if not direct:
                 x = product(x, "a")
-            return self._check(u, v, g, x, max(len(x0), len(x1)))
+            return self._check(u, v, x, max(len(x0), len(x1)))
         p, q = ru.child.word, rv.child.word
         u0, u1, v1 = ru.sec0, ru.sec1, rv.sec1
         witnesses = [
@@ -327,46 +333,20 @@ class _Searcher:
             c0 = mul[gp][iu1]
             c1 = mul[mul[rv.oc1][c0]][iu0]
             x = product(self._lift(x0, x1, c0, c1), "a")
-        return self._check(u, v, g, x, len(z))
+        return self._check(u, v, x, len(z))
 
     def _lift(self, x0: str, x1: str, c0: int, c1: int) -> str:
-        return _lift(x0, x1, c0, c1, self.t)
+        x = _lift(x0, x1, c0, c1, self.t)
+        if self.checked:
+            _check_lift(x0, x1, x)
+        return x
 
-    def _check(self, u: str, v: str, g: int, x: str, child_len: int) -> str:
+    def _check(self, u: str, v: str, x: str, child_len: int) -> str:
         bound = 4 * child_len + 4 * (len(u) + len(v)) + 11
         if len(x) > bound:
             raise AssertionError(
                 f"conjugator length {len(x)} exceeds recurrence bound {bound}"
             )
-        return x
-
-
-class _CheckedSearcher(_Searcher):
-    """The search of a call whose conjugator failed its check, run again
-    with every lift checked for a residue and every level's conjugator
-    checked as the final one is.  The first check to fail is at the
-    deepest level that broke; ``path`` then holds the slots (u, v, g) from
-    the top (level 0) down to that level.
-    """
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.path = []
-
-    def find(self, u: str, v: str, g: int) -> str:
-        self.path.append((u, v, g))
-        x = super().find(u, v, g)
-        self.path.pop()
-        return x
-
-    def _find(self, u: str, v: str, g: int) -> str:
-        x = super()._find(u, v, g)
-        _verify(u, v, g, x, self.t)
-        return x
-
-    def _lift(self, x0: str, x1: str, c0: int, c1: int) -> str:
-        x = super()._lift(x0, x1, c0, c1)
-        _check_lift(x0, x1, x)
         return x
 
 
@@ -414,7 +394,7 @@ def find_conjugator(
         fault = exc
     # Search again with every level checked; it stops at the deepest
     # level that broke.  Should it pass, the error names the top.
-    checked = _CheckedSearcher(solved, tables, base)
+    checked = _Searcher(solved, tables, base, checked=True)
     try:
         checked.find(u, v, g)
     except (AssertionError, NotLiftable, LiftResidual) as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import norm, split_children
+from .words import norm, parse, split_children
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,10 @@ def _walk(w: str, floor: float) -> SplitTree:
 def build_tree(w: str) -> SplitTree:
     """Totals of the full splitting tree of ``w``.
 
-    Every vertex counts, repeats included: trees are not DAGs.
+    ``w`` is parsed first, as the CLI parses it.  Every vertex counts,
+    repeats included: trees are not DAGs.
     """
-    return _walk(w, 0.0)
+    return _walk(parse(w), 0.0)
 
 
 def build_tree9(w: str) -> SplitTree:
@@ -67,6 +68,6 @@ def build_tree9(w: str) -> SplitTree:
 
     The totals are zero when the root is already below 9.  The walk
     covers the full tree to assert that the norm >= 9 vertices are
-    connected to the root.
+    connected to the root.  ``w`` is parsed first, as in ``build_tree``.
     """
-    return _walk(w, 9.0)
+    return _walk(parse(w), 9.0)

@@ -8,7 +8,7 @@ import pytest
 
 import grigconj
 from conftest import rand_reduced
-from grigconj import cli, engine, quotient, search, words
+from grigconj import cli, engine, quotient, search, sptree, words
 from grigconj.words import inverse, product
 
 
@@ -145,6 +145,22 @@ class TestTreeCommand:
         assert code == 0
         fields = dict(line.split("\t", 1)[:2] for line in lines if "\t" in line)
         assert fields["vertices"] == "11"
+
+    @pytest.mark.parametrize("word", ["bcd", "ddabacabbadabacabad"])
+    def test_library_parses_as_the_cli_does(self, capsys, word):
+        # Both words are unreduced: bcd is the identity, and the other
+        # reduces to abababacabad, of norm above 9.
+        code, lines = run_lines(capsys, "--json", "tree", "--stats", word)
+        assert code == 0
+        payload = json.loads(lines[0])
+        tree, t9 = sptree.build_tree(word), sptree.build_tree9(word)
+        assert tree == sptree.build_tree(words.reduce(word))
+        assert t9 == sptree.build_tree9(words.reduce(word))
+        assert (payload["vertex_count"], payload["total_norm"], payload["height"]) == (
+            tree.vertex_count, tree.total_norm, tree.height)
+        assert payload["total_label_length"] == tree.total_label_len
+        assert (payload["t9_vertex_count"], payload["t9_total_norm"]) == (
+            t9.vertex_count, t9.total_norm)
 
 
 class TestTable9Command:

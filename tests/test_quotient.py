@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from conftest import get_from_threads, rand_reduced
-from grigconj import engine, quotient, search
+from grigconj import cli, engine, quotient, search
 from grigconj.quotient import (
     FULL_MASK,
     IDENTITY_COSET,
@@ -56,6 +57,19 @@ class TestBuild:
         monkeypatch.setenv("GRIG_MAX_DEPTH", raw)
         with pytest.raises(ConfigError, match="GRIG_MAX_DEPTH"):
             build_quotient()
+
+    def test_coset_numbering_is_pinned(self, tables, capsys):
+        # The first-in-first-out coset walk of the build numbers the
+        # cosets; every Q-set mask, quotient-dump and the README's
+        # "q_set": [1, 5, 6, 7] read that numbering.
+        assert tables.gen_coset == {"a": 1, "b": 2, "c": 3, "d": 4}
+        assert tables.inv == (0, 1, 2, 3, 4, 5, 8, 9, 6, 7, 10, 11, 12, 13, 14, 15)
+        assert tables.base_q == {"": 0xFFFF, "a": 0x5003, "b": 0x001D, "c": 0x001D, "d": 0xCC1D}
+        # The digest of the JSON dump pins the rest in this numbering: the
+        # full mul table, the lift table with its pairs, and the depth.
+        assert cli.run(["--json", "quotient-dump"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "5b89d68994f48a006e28376cb145f42a287ab93e6310ba177ff075d84c096a4d"
 
     def test_group_axioms_exhaustive(self, tables):
         mul, inv = tables.mul, tables.inv

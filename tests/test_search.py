@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import get_from_threads, rand_reduced
 from grigconj import cli, engine
 from grigconj import search as search_mod
-from grigconj.quotient import IDENTITY_COSET, coset, get_tables
+from grigconj.quotient import IDENTITY_COSET, coset, get_tables, mask_cosets
 from grigconj.search import (
     LiftResidual,
     NotDihedral,
@@ -21,6 +21,7 @@ from grigconj.search import (
     tau,
 )
 from grigconj.words import (
+    InvalidCharacter,
     a_parity,
     equal,
     inverse,
@@ -154,11 +155,18 @@ class TestDihedral:
 class TestLiftWord:
     @pytest.mark.parametrize(
         "x0,x1,known",
-        [("a", "c", "b"), ("", "b", "d"), ("c", "a", "aba"), ("", "", "")],
+        [("a", "c", "b"), ("", "b", "d"), ("c", "a", "aba"), ("", "", ""),
+         # Unreduced sections are reduced first: bb is the identity.
+         ("bb", "", ""), ("abb", "cdd", "b"), ("1", "cd", "d")],
     )
     def test_known_section_pairs(self, tables, x0, x1, known):
         x = lift_word(x0, x1, tables)
         assert x == known
+
+    @pytest.mark.parametrize("x0,x1", [("xa", ""), ("", "abe"), ("a b", "c")])
+    def test_rejects_other_letters(self, tables, x0, x1):
+        with pytest.raises(InvalidCharacter):
+            lift_word(x0, x1, tables)
 
     def test_sections_roundtrip_random(self, tables, rng):
         for _ in range(60):
@@ -309,6 +317,30 @@ class TestFailurePath:
             assert solved.q_set(su, sv) >> sg & 1
             assert (level == 0) == (su == u and sv == v)
         assert caught >= len(pairs) * 3 // 4
+
+    def test_rerun_that_passes_names_the_call(self, tables, base_table, monkeypatch):
+        # Only the first check fails: the re-run with every level checked
+        # passes, so the error names the call's own slot at level 0, with
+        # the first check's fault, and no conjugator is returned.
+        (u, v), = _planted_above_base(1, random.Random(3))
+        g = mask_cosets(engine.solve([u, v], tables).q_set(u, v))[0]
+        verify, calls = search_mod._verify, []
+
+        def fail_first(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise AssertionError("first check fails")
+            verify(*args)
+
+        monkeypatch.setattr(search_mod, "_verify", fail_first)
+        with pytest.raises(AssertionError) as info:
+            find_conjugator(u, v, tables=tables, base=base_table)
+        assert str(info.value) == (
+            f"conjugator search broke at level 0, (u, v, g) = ({u!r}, {v!r}, {g}): "
+            "first check fails"
+        )
+        # The re-run checked every level it found, the top included.
+        assert len(calls) > 2 and calls[-1][:3] == (u, v, g)
 
     @pytest.mark.parametrize("mutant", list(_LIFT_MUTANTS))
     def test_cli_exits_three(self, monkeypatch, capsys, mutant):
