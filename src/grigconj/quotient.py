@@ -21,18 +21,28 @@ loops below run once per distinct key:
 Every Q-set is empty or the image of a coset of a centralizer, so each
 mask key either is 0 or one of the 179 cosets of the 35 subgroups of
 the quotient.  The two-mask memos hold at most 180^2 keys each, the two
-odd-term memos at most 180·256.  Nothing is filled at build time apart
-from the two 256-entry byte tables of ``shift_a``.  The memos take no
-lock: two threads that miss on the same key both compute it, and both
-store the same value.
+odd-term memos at most 180·256.
+
+The conjugator search reads its witnesses from two more tables, each
+the answers of one formula on single cosets, filled on first use:
+
+- ``even_witnesses``, keyed on the target coset g (16 keys): the four
+  coset pairs whose single-coset ``q_even`` contains g;
+- ``odd_witnesses``, keyed on the coset of u1 and the one coset of v0
+  or v1 that the term producing g reads (at most 256 keys): per target,
+  the mask of product cosets whose single-coset ``q_odd_cosets``
+  contains it.
+
+Nothing is filled at build time apart from the two 256-entry byte
+tables of ``shift_a``.  The memos take no lock: two threads that miss on
+the same key both compute it, and both store the same value.
 
 This module is the single home of the two finite Q formulas: ``q_even``
 and ``q_odd_cosets`` give Q of a word pair from the Q-sets and cosets of
 its sections.  The engine calls both formulas to build Q-sets; the
-conjugator search calls them on single cosets to pick the section cosets
-of a witness; the direct recursion in ``oracle`` calls ``q_odd_cosets``
-and builds the even case lazily from the same ``lift_set_product`` and
-``shift_a``.
+conjugator search's witness tables are filled from them; the direct
+recursion in ``oracle`` calls ``q_odd_cosets`` and builds the even case
+lazily from the same ``lift_set_product`` and ``shift_a``.
 """
 
 from __future__ import annotations
@@ -134,6 +144,8 @@ class QuotientTables:
     _lift_product: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _q_odd_direct: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _q_odd_twisted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _even_witnesses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _odd_witnesses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def pairs(self):
@@ -262,6 +274,48 @@ def _q_odd_twisted_loop(q_prod: int, cu1: int, cv0: int, tables: QuotientTables)
     row = mul[tables.inv[cv0]]
     pairs = ((mul[g][iu1], row[g]) for g in mask_cosets(q_prod))
     return shift_a(_lift_image(pairs, tables.lift), tables)
+
+
+def even_witnesses(g: int, tables: QuotientTables) -> tuple:
+    """The coset pairs (g0, g1), in ascending order, whose single-coset
+    ``q_even`` contains g: through its direct term when g is an even
+    coset, through its cross term otherwise.  Memoised on g.
+    """
+    memo = tables._even_witnesses
+    out = memo.get(g)
+    if out is None:
+        # The direct term lands in the even cosets and the cross term in
+        # the others, so passing each pair to both terms tests only the
+        # one term that can produce g.
+        out = memo[g] = tuple(
+            (g0, g1)
+            for g0 in range(16)
+            for g1 in range(16)
+            if q_even(1 << g0, 1 << g1, 1 << g0, 1 << g1, tables) >> g & 1
+        )
+    return out
+
+
+def odd_witnesses(cu1: int, cv0: int, cv1: int, g: int, tables: QuotientTables) -> int:
+    """The mask of product cosets gp whose single-coset
+    ``q_odd_cosets(1 << gp, cu1, cv0, cv1)`` contains g.
+
+    Only the direct term, which reads cv1, can produce an even g, and
+    only the twisted term, which reads cv0, an odd one; so the memo is
+    keyed on cu1 and the one coset g's term reads, at most 256 keys,
+    each holding the masks of all 16 targets.
+    """
+    c = cv1 if tables.even_cosets >> g & 1 else cv0
+    key = cu1 << 4 | c
+    memo = tables._odd_witnesses
+    row = memo.get(key)
+    if row is None:
+        row = [0] * 16
+        for gp in range(16):
+            for target in mask_cosets(q_odd_cosets(1 << gp, cu1, c, c, tables)):
+                row[target] |= 1 << gp
+        row = memo[key] = tuple(row)
+    return row[g]
 
 
 # ---------------------------------------------------------------------------

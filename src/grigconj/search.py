@@ -6,11 +6,12 @@ correction, and a recursion over the four parity cases of the
 coordinate-wise conjugacy systems.  The recursion reads the solve of the
 input pair: it walks down the splitting tree the engine built, takes each
 word's sections, product word and section cosets from the engine's
-records, and finds the witness section cosets by evaluating
-``quotient.q_even`` or ``quotient.q_odd_cosets`` on single cosets of the
-stored Q-sets.  Of all the witnesses at a level it lifts the one whose
-sub-conjugators are shortest; a memo on (u, v, coset) that lives for one
-``find_conjugator`` call finds each sub-conjugator once.  The recursion
+records, and reads the witness cosets of each level from the tables
+``quotient.even_witnesses`` and ``quotient.odd_witnesses``, filtered by
+the stored Q-sets of the sections or of the product word.  Of all the
+witnesses at a level it lifts the one whose sub-conjugators are
+shortest; a memo on (u, v, coset) that lives for one ``find_conjugator``
+call finds each sub-conjugator once.  The recursion
 bottoms out in the finite universe of words of norm < 9, whose
 conjugators are tabulated once by brute force in a plain dict keyed on
 (u, v, coset).
@@ -34,10 +35,10 @@ from . import engine
 from .quotient import (
     QuotientTables,
     coset,
+    even_witnesses,
     get_tables,
     mask_cosets,
-    q_even,
-    q_odd_cosets,
+    odd_witnesses,
 )
 from .words import (
     equal,
@@ -188,10 +189,12 @@ def build_base_conj_table(tables: QuotientTables | None = None, max_len: int = 2
     slots: dict = {}
     for members in classes.values():
         for v in members:
+            # The open slots of v by coset, each an insertion-ordered dict
+            # of words, so the slots fill in the same order in every run.
             by_coset: dict = {}
             for u in members:
                 for g in mask_cosets(solved.q_set(u, v)):
-                    by_coset.setdefault(g, set()).add(u)
+                    by_coset.setdefault(g, {})[u] = None
             for x in iter_reduced_words(max_len):
                 if not by_coset:
                     break
@@ -203,7 +206,7 @@ def build_base_conj_table(tables: QuotientTables | None = None, max_len: int = 2
                 hits = [u for u in candidates if u == y or equal(u, y)]
                 for u in hits:
                     slots[(u, v, cx)] = x
-                    candidates.discard(u)
+                    del candidates[u]
                 if not candidates:
                     del by_coset[cx]
             if by_coset:
@@ -266,59 +269,59 @@ class _Searcher:
     def _find(self, u: str, v: str, g: int) -> str:
         """``find`` for a slot not yet in the memo.
 
-        The sections, product words and section cosets are the ones the
-        solve stored.  Every witness the Q formula accepts on single cosets
-        is found through the memo, and the one with the shortest
-        sub-conjugators is lifted; ties go to the first in coset order.
-        The cosets of the words lifted follow from the witness by the
-        quotient tables, so no word is walked for its coset before the lift.
+        The sections, product words, section cosets and Q-sets are the
+        ones the solve stored.  The witnesses come from ``quotient``'s
+        tables, ``even_witnesses`` or ``odd_witnesses``, filtered by the
+        Q-sets of the sections or of the product.  Each is found through
+        the memo, and the one with the shortest sub-conjugators is lifted;
+        ties go to the first in coset order.  The cosets of the words
+        lifted follow from the witness by the quotient tables, so no word
+        is walked for its coset before the lift.
         """
         t = self.t
-        if norm(u) < 9.0 and norm(v) < 9.0:
+        # Norm < 9 needs at most 12 letters, each weighing over 0.7.
+        if len(u) < 13 and len(v) < 13 and norm(u) < 9.0 and norm(v) < 9.0:
             return self.base[(u, v, g)]
         ru, rv = self.solved.record(u), self.solved.record(v)
         if ru.even != rv.even:
             raise AssertionError("mismatched parities cannot be conjugate")
-        q_set = self.solved.q_set
+        transport = self.solved.table.transport
         find = self.find
         # The lift lands in the cosets of even a-count, the a-shift in the
         # others, so the parity of a target coset picks the one term of a
         # Q formula that can produce it.
         direct = t.even_cosets >> g & 1
         if ru.even:
-            u0, u1 = ru.child0.word, ru.child1.word
-            v0, v1 = rv.child0.word, rv.child1.word
+            a0, a1, b0, b1 = ru.child0, ru.child1, rv.child0, rv.child1
             if not direct:
                 # The cross term pairs u1 with v0 and u0 with v1.
-                u0, u1 = u1, u0
-            witnesses = []
-            for g0 in mask_cosets(q_set(u0, v0)):
-                for g1 in mask_cosets(q_set(u1, v1)):
-                    m0, m1 = 1 << g0, 1 << g1
-                    q = q_even(m0, m1, 0, 0, t) if direct else q_even(0, 0, m0, m1, t)
-                    if q >> g & 1:
-                        witnesses.append((g0, g1))
-            if not witnesses:
+                a0, a1 = a1, a0
+            q0, q1 = transport(a0, b0), transport(a1, b1)
+            u0, u1, v0, v1 = a0.word, a1.word, b0.word, b1.word
+            best = None
+            for g0, g1 in even_witnesses(g, t):
+                if q0 >> g0 & 1 and q1 >> g1 & 1:
+                    y0, y1 = find(u0, v0, g0), find(u1, v1, g1)
+                    if best is None or len(y0) + len(y1) < len(best[0]) + len(best[1]):
+                        best = y0, y1, g0, g1
+            if best is None:
                 raise AssertionError(f"no section cosets produce {g} for ({u!r}, {v!r})")
-            g0, g1 = min(
-                witnesses, key=lambda w: len(find(u0, v0, w[0])) + len(find(u1, v1, w[1]))
-            )
-            x0, x1 = find(u0, v0, g0), find(u1, v1, g1)
+            x0, x1, g0, g1 = best
             x = self._lift(x0, x1, g0, g1)
             if not direct:
                 x = product(x, "a")
             return self._check(u, v, x, max(len(x0), len(x1)))
-        p, q = ru.child.word, rv.child.word
-        u0, u1, v1 = ru.sec0, ru.sec1, rv.sec1
-        witnesses = [
-            gp
-            for gp in mask_cosets(q_set(p, q))
-            if q_odd_cosets(1 << gp, ru.oc1, rv.oc0, rv.oc1, t) >> g & 1
-        ]
+        rp, rq = ru.child, rv.child
+        witnesses = transport(rp, rq) & odd_witnesses(ru.oc1, rv.oc0, rv.oc1, g, t)
         if not witnesses:
             raise AssertionError(f"no product coset produces {g} for ({u!r}, {v!r})")
-        gp = min(witnesses, key=lambda c: len(find(p, q, c)))
-        z = find(p, q, gp)
+        p, q = rp.word, rq.word
+        z = None
+        for c in mask_cosets(witnesses):
+            y = find(p, q, c)
+            if z is None or len(y) < len(z):
+                z, gp = y, c
+        u0, u1, v1 = ru.sec0, ru.sec1, rv.sec1
         mul = t.mul
         iu0, iu1 = t.inv[ru.oc0], t.inv[ru.oc1]
         if direct:

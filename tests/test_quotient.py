@@ -13,8 +13,10 @@ from grigconj.quotient import (
     build_quotient,
     coset,
     derive_base_q,
+    even_witnesses,
     generator_leaf_perms,
     lift_set_product,
+    odd_witnesses,
     q_even,
     q_odd_cosets,
     relative,
@@ -458,7 +460,56 @@ class TestMemos:
 
     def test_memos_are_per_table_and_not_compared(self, tables):
         fresh = build_quotient()
-        for name in ("_relative", "_lift_product", "_q_odd_direct", "_q_odd_twisted"):
+        for name in ("_relative", "_lift_product", "_q_odd_direct", "_q_odd_twisted",
+                     "_even_witnesses", "_odd_witnesses"):
             assert getattr(fresh, name) is not getattr(tables, name)
             assert name not in repr(fresh)
         assert fresh == tables
+
+
+class TestWitnessTables:
+    """The search's witness tables against the formulas they are read from."""
+
+    def test_even_table_matches_the_formula(self):
+        fresh = build_quotient()
+        for g in range(16):
+            direct = fresh.even_cosets >> g & 1
+            expected = []
+            for g0 in range(16):
+                for g1 in range(16):
+                    m0, m1 = 1 << g0, 1 << g1
+                    q = q_even(m0, m1, 0, 0, fresh) if direct else q_even(0, 0, m0, m1, fresh)
+                    if q >> g & 1:
+                        expected.append((g0, g1))
+            got = even_witnesses(g, fresh)
+            assert list(got) == expected, g
+            # |L| = 32 pairs over 8 targets per term.
+            assert len(got) == 4
+            assert even_witnesses(g, fresh) is got
+        assert len(fresh._even_witnesses) == 16
+
+    def test_odd_table_matches_the_formula(self):
+        fresh = build_quotient()
+        for cu1 in range(16):
+            for cv0 in range(16):
+                for cv1 in range(16):
+                    qs = [q_odd_cosets(1 << gp, cu1, cv0, cv1, fresh) for gp in range(16)]
+                    for g in range(16):
+                        expected = sum(1 << gp for gp in range(16) if qs[gp] >> g & 1)
+                        assert odd_witnesses(cu1, cv0, cv1, g, fresh) == expected
+        assert len(fresh._odd_witnesses) == 256
+
+    def test_memos_stay_within_their_bounds(self, base_table):
+        fresh = build_quotient()
+        rng = random.Random(14)
+        for _ in range(30):
+            v = rand_reduced(rng.randrange(100, 201), rng)
+            x = rand_reduced(rng.randrange(40, 61), rng)
+            u = reduce(inverse(x) + v + x)
+            assert search.find_conjugator(u, v, tables=fresh, base=base_table) is not None
+        assert 0 < len(fresh._even_witnesses) <= 16
+        assert 0 < len(fresh._odd_witnesses) <= 256
+        for g, pairs in fresh._even_witnesses.items():
+            assert 0 <= g < 16 and len(pairs) == 4
+        for key, row in fresh._odd_witnesses.items():
+            assert 0 <= key < 256 and len(row) == 16

@@ -1,5 +1,9 @@
+import hashlib
+import os
 import random
 import re
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import get_from_threads, rand_reduced
+import grigconj
 from grigconj import cli, engine
 from grigconj import search as search_mod
 from grigconj.quotient import IDENTITY_COSET, coset, get_tables, mask_cosets
@@ -318,6 +323,28 @@ class TestFailurePath:
             assert (level == 0) == (su == u and sv == v)
         assert caught >= len(pairs) * 3 // 4
 
+    @pytest.mark.parametrize(
+        "parity,table,empty,text",
+        [(0, "even_witnesses", (), "no section cosets produce"),
+         (1, "odd_witnesses", 0, "no product coset produces")],
+    )
+    def test_no_witness_is_reported(self, tables, base_table, monkeypatch, parity, table, empty, text):
+        # With an empty witness table the top level of a pair above the
+        # base table has nothing to lift.
+        rng = random.Random(3)
+        while True:
+            (u, v), = _planted_above_base(1, rng)
+            if a_parity(v) == parity:
+                break
+        g = mask_cosets(engine.q_set(u, v, tables))[0]
+        monkeypatch.setattr(search_mod, table, lambda *args: empty)
+        with pytest.raises(AssertionError) as info:
+            find_conjugator(u, v, g, tables=tables, base=base_table)
+        assert str(info.value) == (
+            f"conjugator search broke at level 0, (u, v, g) = ({u!r}, {v!r}, {g}): "
+            f"{text} {g} for ({u!r}, {v!r})"
+        )
+
     def test_rerun_that_passes_names_the_call(self, tables, base_table, monkeypatch):
         # Only the first check fails: the re-run with every level checked
         # passes, so the error names the call's own slot at level 0, with
@@ -450,6 +477,25 @@ class TestFindConjugator:
                 assert equal(u, reduce(inverse(got) + v + got))
 
 
+class TestConjugatorBytes:
+    def test_every_coset_of_a_planted_corpus(self, tables, base_table):
+        # Conjugators for every coset of Q(u, v), pinned byte for byte: a
+        # change to the witness order or the tie-break shows here.
+        rng = random.Random(14)
+        out = []
+        for _ in range(40):
+            v = rand_reduced(rng.randrange(100, 201), rng)
+            x = rand_reduced(rng.randrange(40, 61), rng)
+            u = reduce(inverse(x) + v + x)
+            for g in mask_cosets(engine.q_set(u, v, tables)):
+                out.append(find_conjugator(u, v, g, tables=tables, base=base_table))
+        assert len(out) == 93
+        assert sum(map(len, out)) == 85332
+        assert hashlib.sha256("\n".join(out).encode()).hexdigest() == (
+            "b6139a1aedb0fcb54ef8d437d2d4b7e7e797ca784e79dc8fc9475b651850ec1e"
+        )
+
+
 class TestSearchMemo:
     @pytest.fixture
     def searchers(self, monkeypatch):
@@ -497,6 +543,27 @@ class TestBaseTableCompleteness:
         # Length-1 witnesses cannot cover every slot.
         with pytest.raises(search_mod.BaseIncomplete):
             build_base_conj_table(tables, max_len=1)
+
+
+    def test_insertion_order_is_independent_of_the_hash_seed(self):
+        # Tests that sample the table by position see the same slots in
+        # every run.
+        src = os.path.dirname(os.path.dirname(grigconj.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import hashlib; from grigconj.search import get_base_table; "
+            "print(hashlib.sha256(repr(list(get_base_table().items())).encode()).hexdigest())"
+        )
+        digests = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
+            env.pop("GRIG_MAX_DEPTH", None)
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout)
+        assert len(digests) == 1
 
 
 class TestGetBaseTable:
