@@ -37,10 +37,10 @@ Ops model (``ops`` carries the paper's linearity claim):
   16, and each Q formula 256;
 - processing a word charges ``len(w) + 2``.
 
-Inside ``quotient`` every Q-set operation on this path is a lookup in a
-memo filled on first use: the transport and the lift product on their
+Inside ``quotient`` every Q-set operation on this path is a
+``functools.cache`` lookup: the transport and the lift product on their
 two masks, and each term of the odd formula on the product Q-set and the
-two cosets it reads.  ``ops`` charges 16 and 256 whether a memo hits or
+two cosets it reads.  ``ops`` charges 16 and 256 whether a cache hits or
 not, so it counts the algorithm's work and not the cache's.
 
 ``shortlex_order`` orders the universe with O(L log m) character

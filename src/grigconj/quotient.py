@@ -8,34 +8,21 @@ five one-letter words.  Subsets of the 16 cosets are plain ints used as
 bitmasks, so every Q-set operation is a bounded table walk or lookup.
 
 Every Q formula on the engine's per-word path is a constant number of
-lookups in memos carried by the tables and filled on first use, so the
-loops below run once per distinct key:
+``functools.cache`` lookups, so the loops below run once per distinct
+key.  The cached functions take the tables last, so each key holds the
+tables object and the entries are per table:
 
-- ``relative`` (Q(y,r)^-1 Q(x,r)), keyed on the two masks;
-- ``lift_set_product``, keyed on the two masks;
-- the direct term of ``q_odd_cosets``, keyed on the product Q-set and
-  the cosets of u1 and v1;
-- its twisted term, a-shift applied, keyed on the product Q-set and the
-  cosets of u1 and v0.
+- ``relative`` (Q(y,r)^-1 Q(x,r)) and ``lift_set_product`` on two masks,
+  at most 180^2 keys each, and ``shift_a`` on one;
+- the direct and twisted terms of ``q_odd_cosets`` on the product Q-set
+  and two section cosets, at most 180·256 keys each;
+- the search's witness tables: ``even_witnesses`` on the target coset,
+  16 keys, and the row behind ``odd_witnesses`` on two cosets, 256 keys.
 
-Every Q-set is empty or the image of a coset of a centralizer, so each
-mask key either is 0 or one of the 179 cosets of the 35 subgroups of
-the quotient.  The two-mask memos hold at most 180^2 keys each, the two
-odd-term memos at most 180·256.
-
-The conjugator search reads its witnesses from two more tables, each
-the answers of one formula on single cosets, filled on first use:
-
-- ``even_witnesses``, keyed on the target coset g (16 keys): the four
-  coset pairs whose single-coset ``q_even`` contains g;
-- ``odd_witnesses``, keyed on the coset of u1 and the one coset of v0
-  or v1 that the term producing g reads (at most 256 keys): per target,
-  the mask of product cosets whose single-coset ``q_odd_cosets``
-  contains it.
-
-Nothing is filled at build time apart from the two 256-entry byte
-tables of ``shift_a``.  The memos take no lock: two threads that miss on
-the same key both compute it, and both store the same value.
+The 180 are the empty set and the 179 cosets of the 35 subgroups of the
+quotient: every Q-set is empty or the image of a coset of a centralizer.
+The caches take no lock: two threads that miss on the same key both
+compute it, and both store the same value.
 
 This module is the single home of the two finite Q formulas: ``q_even``
 and ``q_odd_cosets`` give Q of a word pair from the Q-sets and cosets of
@@ -50,7 +37,7 @@ from __future__ import annotations
 import functools
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .words import equal, inverse, iter_reduced_words, product
 
@@ -121,7 +108,7 @@ def _invert(p: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 # Quotient tables.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuotientTables:
     """Finite data of the index-16 quotient.
 
@@ -129,28 +116,27 @@ class QuotientTables:
     the coset of the preimage, or -1 when the pair has none; the defined
     slots are exactly the relation L.  ``even_cosets`` is the image of
     the lift, the cosets of words with an even a-count.
+
+    Equality and hashing are by identity, so keying the caches of the
+    Q-set operations on the tables costs one hash in C.
     """
 
     mul: tuple
     inv: tuple
     gen_coset: dict
     lift: tuple
-    base_q: dict
     stabilizer_depth: int
     even_cosets: int
-    _shift_lo: tuple = field(repr=False, default=())
-    _shift_hi: tuple = field(repr=False, default=())
-    _relative: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _lift_product: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _q_odd_direct: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _q_odd_twisted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _even_witnesses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _odd_witnesses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def pairs(self):
         """The relation L as coset-id pairs."""
         return [(i >> 4, i & 15) for i, t in enumerate(self.lift) if t >= 0]
+
+    @functools.cached_property
+    def base_q(self) -> dict:
+        """The certified Q-sets of the five one-letter words."""
+        return derive_base_q(self)
 
 
 def coset(w: str, tables: QuotientTables) -> int:
@@ -188,31 +174,22 @@ def set_mul(left: int, right: int, tables: QuotientTables) -> int:
     return out
 
 
+@functools.cache
 def shift_a(mask: int, tables: QuotientTables) -> int:
-    """Right-multiply every coset in the set by the coset of a: one
-    lookup per byte of the mask."""
-    return tables._shift_lo[mask & 255] | tables._shift_hi[mask >> 8]
+    """Right-multiply every coset in the set by the coset of a."""
+    return set_mul(mask, 1 << tables.gen_coset["a"], tables)
 
 
+@functools.cache
 def relative(qy: int, qx: int, tables: QuotientTables) -> int:
-    """Q(x, y) = Q(y,r)^-1 Q(x,r) from qy = Q(y,r) and qx = Q(x,r):
-    set_mul(set_inv(qy), qx), memoised on the two masks."""
-    key = qy << 16 | qx
-    memo = tables._relative
-    out = memo.get(key)
-    if out is None:
-        out = memo[key] = set_mul(set_inv(qy, tables), qx, tables)
-    return out
+    """Q(x, y) = Q(y,r)^-1 Q(x,r) from qy = Q(y,r) and qx = Q(x,r)."""
+    return set_mul(set_inv(qy, tables), qx, tables)
 
 
+@functools.cache
 def lift_set_product(s0: int, s1: int, tables: QuotientTables) -> int:
-    """lift(s0 x s1): at most 256 pair lookups, memoised on the two masks."""
-    key = s0 << 16 | s1
-    memo = tables._lift_product
-    out = memo.get(key)
-    if out is None:
-        out = memo[key] = _lift_product_loop(s0, s1, tables.lift)
-    return out
+    """lift(s0 x s1): at most 256 pair lookups."""
+    return _lift_image(((g0, g1) for g0 in mask_cosets(s0) for g1 in mask_cosets(s1)), tables.lift)
 
 
 def _lift_image(pairs, lift: tuple) -> int:
@@ -223,10 +200,6 @@ def _lift_image(pairs, lift: tuple) -> int:
         if t >= 0:
             out |= 1 << t
     return out
-
-
-def _lift_product_loop(s0: int, s1: int, lift: tuple) -> int:
-    return _lift_image(((g0, g1) for g0 in mask_cosets(s0) for g1 in mask_cosets(s1)), lift)
 
 
 def q_even(q00: int, q11: int, q10: int, q01: int, tables: QuotientTables) -> int:
@@ -243,23 +216,12 @@ def q_even(q00: int, q11: int, q10: int, q01: int, tables: QuotientTables) -> in
 def q_odd_cosets(q_prod: int, cu1: int, cv0: int, cv1: int, tables: QuotientTables) -> int:
     """Q of an odd pair from Q(u0·u1, v0·v1) and the section cosets:
     lift{(g, v1·g·u1^-1)} u lift{(g·u1^-1, v0^-1·g)}a.
-
-    Each term is memoised on the product Q-set and the two cosets it
-    reads, at most 180·256 keys per memo.
     """
-    key = q_prod << 8 | cu1 << 4
-    memo = tables._q_odd_direct
-    direct = memo.get(key | cv1)
-    if direct is None:
-        direct = memo[key | cv1] = _q_odd_direct_loop(q_prod, cu1, cv1, tables)
-    memo = tables._q_odd_twisted
-    twisted = memo.get(key | cv0)
-    if twisted is None:
-        twisted = memo[key | cv0] = _q_odd_twisted_loop(q_prod, cu1, cv0, tables)
-    return direct | twisted
+    return _q_odd_direct(q_prod, cu1, cv1, tables) | _q_odd_twisted(q_prod, cu1, cv0, tables)
 
 
-def _q_odd_direct_loop(q_prod: int, cu1: int, cv1: int, tables: QuotientTables) -> int:
+@functools.cache
+def _q_odd_direct(q_prod: int, cu1: int, cv1: int, tables: QuotientTables) -> int:
     """lift{(g, v1·g·u1^-1) : g in q_prod}."""
     mul = tables.mul
     iu1 = tables.inv[cu1]
@@ -267,7 +229,8 @@ def _q_odd_direct_loop(q_prod: int, cu1: int, cv1: int, tables: QuotientTables) 
     return _lift_image(((g, row[mul[g][iu1]]) for g in mask_cosets(q_prod)), tables.lift)
 
 
-def _q_odd_twisted_loop(q_prod: int, cu1: int, cv0: int, tables: QuotientTables) -> int:
+@functools.cache
+def _q_odd_twisted(q_prod: int, cu1: int, cv0: int, tables: QuotientTables) -> int:
     """lift{(g·u1^-1, v0^-1·g) : g in q_prod}·a."""
     mul = tables.mul
     iu1 = tables.inv[cu1]
@@ -276,24 +239,21 @@ def _q_odd_twisted_loop(q_prod: int, cu1: int, cv0: int, tables: QuotientTables)
     return shift_a(_lift_image(pairs, tables.lift), tables)
 
 
+@functools.cache
 def even_witnesses(g: int, tables: QuotientTables) -> tuple:
     """The coset pairs (g0, g1), in ascending order, whose single-coset
     ``q_even`` contains g: through its direct term when g is an even
-    coset, through its cross term otherwise.  Memoised on g.
+    coset, through its cross term otherwise.
     """
-    memo = tables._even_witnesses
-    out = memo.get(g)
-    if out is None:
-        # The direct term lands in the even cosets and the cross term in
-        # the others, so passing each pair to both terms tests only the
-        # one term that can produce g.
-        out = memo[g] = tuple(
-            (g0, g1)
-            for g0 in range(16)
-            for g1 in range(16)
-            if q_even(1 << g0, 1 << g1, 1 << g0, 1 << g1, tables) >> g & 1
-        )
-    return out
+    # The direct term lands in the even cosets and the cross term in the
+    # others, so passing each pair to both terms tests only the one term
+    # that can produce g.
+    return tuple(
+        (g0, g1)
+        for g0 in range(16)
+        for g1 in range(16)
+        if q_even(1 << g0, 1 << g1, 1 << g0, 1 << g1, tables) >> g & 1
+    )
 
 
 def odd_witnesses(cu1: int, cv0: int, cv1: int, g: int, tables: QuotientTables) -> int:
@@ -301,21 +261,21 @@ def odd_witnesses(cu1: int, cv0: int, cv1: int, g: int, tables: QuotientTables) 
     ``q_odd_cosets(1 << gp, cu1, cv0, cv1)`` contains g.
 
     Only the direct term, which reads cv1, can produce an even g, and
-    only the twisted term, which reads cv0, an odd one; so the memo is
-    keyed on cu1 and the one coset g's term reads, at most 256 keys,
-    each holding the masks of all 16 targets.
+    only the twisted term, which reads cv0, an odd one; so the answer is
+    read from a row keyed on cu1 and the one coset g's term reads.
     """
-    c = cv1 if tables.even_cosets >> g & 1 else cv0
-    key = cu1 << 4 | c
-    memo = tables._odd_witnesses
-    row = memo.get(key)
-    if row is None:
-        row = [0] * 16
-        for gp in range(16):
-            for target in mask_cosets(q_odd_cosets(1 << gp, cu1, c, c, tables)):
-                row[target] |= 1 << gp
-        row = memo[key] = tuple(row)
-    return row[g]
+    return _odd_witness_row(cu1, cv1 if tables.even_cosets >> g & 1 else cv0, tables)[g]
+
+
+@functools.cache
+def _odd_witness_row(cu1: int, c: int, tables: QuotientTables) -> tuple:
+    """Per target coset, the mask of product cosets gp whose single-coset
+    ``q_odd_cosets(1 << gp, cu1, c, c)`` contains it."""
+    row = [0] * 16
+    for gp in range(16):
+        for target in mask_cosets(q_odd_cosets(1 << gp, cu1, c, c, tables)):
+            row[target] |= 1 << gp
+    return tuple(row)
 
 
 # ---------------------------------------------------------------------------
@@ -417,27 +377,16 @@ def _tables_from_group(depth: int) -> QuotientTables | None:
             raise BuildDivergence("lift table is not single-valued")
         lift[idx] = xw
 
-    # shift_a by bytes: the image of every mask of the low and the high
-    # eight cosets.
-    ca = gen_coset["a"]
-    shift_lo = [0] * 256
-    shift_hi = [0] * 256
-    for m in range(1, 256):
-        low = (m & -m).bit_length() - 1
-        shift_lo[m] = shift_lo[m & (m - 1)] | 1 << mul[low][ca]
-        shift_hi[m] = shift_hi[m & (m - 1)] | 1 << mul[low + 8][ca]
     tables = QuotientTables(
         mul=mul,
         inv=inv,
         gen_coset=gen_coset,
         lift=tuple(lift),
-        base_q={},
         stabilizer_depth=depth,
-        even_cosets=_lift_product_loop(FULL_MASK, FULL_MASK, lift),
-        _shift_lo=tuple(shift_lo),
-        _shift_hi=tuple(shift_hi),
+        even_cosets=sum(1 << t for t in set(lift) if t >= 0),
     )
-    return replace(tables, base_q=derive_base_q(tables))
+    tables.base_q  # certified here, so a SandwichGap raises at build time
+    return tables
 
 
 def derive_base_q(tables: QuotientTables, max_witness_len: int = 24) -> dict:

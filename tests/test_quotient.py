@@ -1,15 +1,17 @@
+import dataclasses
 import hashlib
 import random
 
 import pytest
 
 from conftest import get_from_threads, rand_reduced
-from grigconj import cli, engine, quotient, search
+from grigconj import cli, engine, oracle, quotient, search
 from grigconj.quotient import (
     FULL_MASK,
     IDENTITY_COSET,
     BuildDivergence,
     ConfigError,
+    QuotientTables,
     build_quotient,
     coset,
     derive_base_q,
@@ -176,7 +178,7 @@ class TestSetOps:
         assert shift_a(1 << IDENTITY_COSET, tables) == 1 << ca
         assert shift_a(1 << ca, tables) == 1 << IDENTITY_COSET
 
-    def test_shift_a_byte_tables_match_the_bit_loop(self, tables):
+    def test_shift_a_matches_the_bit_loop_on_every_mask(self, tables):
         ca = tables.gen_coset["a"]
         image = [1 << tables.mul[g][ca] for g in range(16)]
         for mask in range(1 << 16):
@@ -184,6 +186,8 @@ class TestSetOps:
             for g in bits(mask):
                 expected |= image[g]
             assert shift_a(mask, tables) == expected, mask
+        # Off the Q-set path the keys are not cosets; drop the 65,536.
+        shift_a.cache_clear()
 
 
 class TestQFormulas:
@@ -274,7 +278,46 @@ class TestGetTables:
 
 
 # ---------------------------------------------------------------------------
-# Memoised mask operations and the coset invariant that bounds their memos.
+# Cached mask operations and the coset invariant that bounds their caches.
+
+# The cached operations of ``quotient``; each takes the tables last.
+CACHED = (
+    "relative",
+    "lift_set_product",
+    "shift_a",
+    "_q_odd_direct",
+    "_q_odd_twisted",
+    "even_witnesses",
+    "_odd_witness_row",
+)
+
+
+def record_calls(monkeypatch, tables) -> dict:
+    """Wrap each cached operation in every module that holds it, and
+    return per name the (arguments, result) of each call on ``tables``,
+    hit or miss, the tables left out of the arguments."""
+    calls = {name: [] for name in CACHED}
+    for name in CACHED:
+        fn = getattr(quotient, name)
+
+        def recording(*args, fn=fn, log=calls[name]):
+            out = fn(*args)
+            if args[-1] is tables:
+                log.append((args[:-1], out))
+            return out
+
+        for module in (quotient, engine, search, oracle):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def hit(fn, *args):
+    """(fn(*args), whether the call hit fn's cache)."""
+    before = fn.cache_info().hits
+    out = fn(*args)
+    return out, fn.cache_info().hits > before
+
 
 def subgroup_cosets(tables) -> set:
     """(subgroups, cosets) as masks: every subgroup, and every left and
@@ -352,8 +395,9 @@ class TestCosetInvariant:
         assert all(h >> IDENTITY_COSET & 1 for h in subgroups)
         assert FULL_MASK in subgroups
 
-    def test_engine_q_sets_and_memos_are_cosets(self, coset_masks, base_table):
+    def test_engine_q_sets_and_memos_are_cosets(self, coset_masks, base_table, monkeypatch):
         fresh = build_quotient()
+        calls = record_calls(monkeypatch, fresh)
         seen = []
 
         def check(res):
@@ -370,7 +414,7 @@ class TestCosetInvariant:
             x = rand_reduced(rng.randrange(0, 201), rng)
             check(engine.solve([u, reduce(inverse(x) + u + x)], fresh))
         # Seeded batches with planted conjugates, and conjugators found on
-        # some of those pairs (the search probes the memos with single
+        # some of those pairs (the search probes the caches with single
         # cosets).
         for seed in (1, 7, 21):
             rng = random.Random(seed)
@@ -384,29 +428,32 @@ class TestCosetInvariant:
                 assert search.find_conjugator(u, v, tables=fresh, base=base_table) is not None
         assert len(set(seen)) > 10
 
-        for memo in (fresh._relative, fresh._lift_product):
-            assert memo
-            assert len(memo) <= len(coset_masks) ** 2
-            for key, value in memo.items():
-                assert key >> 16 in coset_masks
-                assert key & FULL_MASK in coset_masks
-                assert value in coset_masks
-        # The odd-formula memos: keyed on a Q-set and two cosets, so at
-        # most 180 * 256 keys each.  Each term is the part of a Q-set in
-        # the even (direct) or odd (twisted) cosets, so a coset too.
-        for memo in (fresh._q_odd_direct, fresh._q_odd_twisted):
-            assert memo
-            assert len(memo) <= len(coset_masks) * 256
-            for key, value in memo.items():
-                assert key >> 8 in coset_masks
-                assert value in coset_masks
+        # Every mask passed to or returned by a mask operation is a coset,
+        # so the keys stay within 180 (shift_a), 180^2 (the two-mask
+        # operations) and 180 * 256 (the odd terms, keyed on a Q-set and
+        # two cosets).  Each odd term is the part of a Q-set in the even
+        # (direct) or odd (twisted) cosets, so a coset too.
+        bounds = {
+            "relative": len(coset_masks) ** 2,
+            "lift_set_product": len(coset_masks) ** 2,
+            "shift_a": len(coset_masks),
+            "_q_odd_direct": len(coset_masks) * 256,
+            "_q_odd_twisted": len(coset_masks) * 256,
+        }
+        for name, bound in bounds.items():
+            assert calls[name], name
+            assert len({args for args, _ in calls[name]}) <= bound, name
+            for args, out in calls[name]:
+                masks = args if name in ("relative", "lift_set_product", "shift_a") else args[:1]
+                assert all(m in coset_masks for m in masks), (name, args)
+                assert out in coset_masks, (name, args)
 
 
 class TestMemos:
     def test_memos_match_the_loops_on_miss_and_hit(self, coset_masks):
         fresh = build_quotient()
-        fresh._relative.clear()
-        fresh._lift_product.clear()
+        relative.cache_clear()
+        lift_set_product.cache_clear()
         masks = sorted(coset_masks)
         expected = {}
         for a in masks:
@@ -415,35 +462,32 @@ class TestMemos:
                     set_mul(set_inv(a, fresh), b, fresh),
                     lift_product_by_loop(a, b, fresh),
                 )
-        for hit in (False, True):
+        for second in (False, True):
             for (a, b), (rel, lift) in expected.items():
-                key = a << 16 | b
-                assert (key in fresh._relative) == hit
-                assert (key in fresh._lift_product) == hit
-                assert relative(a, b, fresh) == rel
-                assert lift_set_product(a, b, fresh) == lift
-        assert len(fresh._relative) == len(fresh._lift_product) == len(masks) ** 2
+                assert hit(relative, a, b, fresh) == (rel, second)
+                assert hit(lift_set_product, a, b, fresh) == (lift, second)
+        for fn in (relative, lift_set_product):
+            info = fn.cache_info()
+            assert info.misses == info.hits == info.currsize == len(masks) ** 2
 
     def test_odd_memos_match_the_loops_on_miss_and_hit(self, coset_masks):
         fresh = build_quotient()
-        fresh._q_odd_direct.clear()
-        fresh._q_odd_twisted.clear()
-        cases = [
-            (q, x, y, q << 8 | x << 4 | y)
-            for q in sorted(coset_masks)
-            for x in range(16)
-            for y in range(16)
-        ]
-        # cv0 and cv1 both take y, so one call fills both memos at one key.
-        for hit in (False, True):
-            for q, x, y, key in cases:
-                assert (key in fresh._q_odd_direct) == hit
-                assert (key in fresh._q_odd_twisted) == hit
+        direct_term, twisted_term = quotient._q_odd_direct, quotient._q_odd_twisted
+        direct_term.cache_clear()
+        twisted_term.cache_clear()
+        cases = [(q, x, y) for q in sorted(coset_masks) for x in range(16) for y in range(16)]
+        # cv0 and cv1 both take y, so one call reads both caches at one key.
+        for second in (False, True):
+            for q, x, y in cases:
                 direct, twisted = q_odd_terms_by_loop(q, x, y, y, fresh)
+                misses = direct_term.cache_info().misses, twisted_term.cache_info().misses
                 assert q_odd_cosets(q, x, y, y, fresh) == direct | twisted
-                assert fresh._q_odd_direct[key] == direct
-                assert fresh._q_odd_twisted[key] == twisted
-        assert len(fresh._q_odd_direct) == len(fresh._q_odd_twisted) == len(cases)
+                after = direct_term.cache_info().misses, twisted_term.cache_info().misses
+                assert after == (misses if second else (misses[0] + 1, misses[1] + 1))
+                assert hit(direct_term, q, x, y, fresh) == (direct, True)
+                assert hit(twisted_term, q, x, y, fresh) == (twisted, True)
+        for fn in (direct_term, twisted_term):
+            assert fn.cache_info().misses == fn.cache_info().currsize == len(cases)
 
     def test_odd_memos_key_on_the_cosets_each_term_reads(self, coset_masks, rng):
         # The direct term ignores cv0 and the twisted term ignores cv1, so
@@ -459,12 +503,31 @@ class TestMemos:
                         assert got == direct | twisted, (q, cu1, cv0, cv1)
 
     def test_memos_are_per_table_and_not_compared(self, tables):
+        # The tables are part of every cache key: a fresh build misses
+        # where the session tables hit.
         fresh = build_quotient()
-        for name in ("_relative", "_lift_product", "_q_odd_direct", "_q_odd_twisted",
-                     "_even_witnesses", "_odd_witnesses"):
-            assert getattr(fresh, name) is not getattr(tables, name)
-            assert name not in repr(fresh)
-        assert fresh == tables
+        for name, args in (
+            ("relative", (0x0003, 0x0005)),
+            ("lift_set_product", (0x0003, 0x0005)),
+            ("shift_a", (0x0003,)),
+            ("_q_odd_direct", (0x0003, 1, 2)),
+            ("_q_odd_twisted", (0x0003, 1, 2)),
+            ("even_witnesses", (3,)),
+            ("_odd_witness_row", (1, 2)),
+        ):
+            fn = getattr(quotient, name)
+            session, _ = hit(fn, *args, tables)
+            assert hit(fn, *args, tables) == (session, True), name
+            assert hit(fn, *args, fresh) == (session, False), name
+        # Equality is identity, so two builds are compared field by field;
+        # the only fields are the data, and base_q is computed once.
+        assert fresh != tables
+        names = [f.name for f in dataclasses.fields(QuotientTables)]
+        assert names == ["mul", "inv", "gen_coset", "lift", "stabilizer_depth", "even_cosets"]
+        for name in names:
+            assert getattr(fresh, name) == getattr(tables, name), name
+        assert fresh.base_q == tables.base_q
+        assert fresh.base_q is fresh.base_q
 
 
 class TestWitnessTables:
@@ -472,6 +535,7 @@ class TestWitnessTables:
 
     def test_even_table_matches_the_formula(self):
         fresh = build_quotient()
+        even_witnesses.cache_clear()
         for g in range(16):
             direct = fresh.even_cosets >> g & 1
             expected = []
@@ -481,15 +545,17 @@ class TestWitnessTables:
                     q = q_even(m0, m1, 0, 0, fresh) if direct else q_even(0, 0, m0, m1, fresh)
                     if q >> g & 1:
                         expected.append((g0, g1))
-            got = even_witnesses(g, fresh)
-            assert list(got) == expected, g
+            got, second = hit(even_witnesses, g, fresh)
+            assert list(got) == expected and not second, g
             # |L| = 32 pairs over 8 targets per term.
             assert len(got) == 4
             assert even_witnesses(g, fresh) is got
-        assert len(fresh._even_witnesses) == 16
+        info = even_witnesses.cache_info()
+        assert info.hits == info.misses == info.currsize == 16
 
     def test_odd_table_matches_the_formula(self):
         fresh = build_quotient()
+        quotient._odd_witness_row.cache_clear()
         for cu1 in range(16):
             for cv0 in range(16):
                 for cv1 in range(16):
@@ -497,19 +563,24 @@ class TestWitnessTables:
                     for g in range(16):
                         expected = sum(1 << gp for gp in range(16) if qs[gp] >> g & 1)
                         assert odd_witnesses(cu1, cv0, cv1, g, fresh) == expected
-        assert len(fresh._odd_witnesses) == 256
+        info = quotient._odd_witness_row.cache_info()
+        assert info.misses == info.currsize == 256
+        assert info.hits == 16 ** 4 - 256
 
-    def test_memos_stay_within_their_bounds(self, base_table):
+    def test_memos_stay_within_their_bounds(self, base_table, monkeypatch):
         fresh = build_quotient()
+        calls = record_calls(monkeypatch, fresh)
         rng = random.Random(14)
         for _ in range(30):
             v = rand_reduced(rng.randrange(100, 201), rng)
             x = rand_reduced(rng.randrange(40, 61), rng)
             u = reduce(inverse(x) + v + x)
             assert search.find_conjugator(u, v, tables=fresh, base=base_table) is not None
-        assert 0 < len(fresh._even_witnesses) <= 16
-        assert 0 < len(fresh._odd_witnesses) <= 256
-        for g, pairs in fresh._even_witnesses.items():
+        even = dict(calls["even_witnesses"])
+        rows = dict(calls["_odd_witness_row"])
+        assert 0 < len(even) <= 16
+        assert 0 < len(rows) <= 256
+        for (g,), pairs in even.items():
             assert 0 <= g < 16 and len(pairs) == 4
-        for key, row in fresh._odd_witnesses.items():
-            assert 0 <= key < 256 and len(row) == 16
+        for (cu1, c), row in rows.items():
+            assert 0 <= cu1 < 16 and 0 <= c < 16 and len(row) == 16
