@@ -164,6 +164,7 @@ def _cmd_table9(args) -> int:
 
 def _cmd_quotient_dump(args) -> int:
     t = quotient.get_tables()
+    base_q = quotient.base_q()
     if args.json:
         print(
             json.dumps(
@@ -175,7 +176,7 @@ def _cmd_quotient_dump(args) -> int:
                     "pairs": [list(p) for p in t.pairs],
                     "lift": {f"{g0},{g1}": t.lift[(g0 << 4) | g1] for g0, g1 in t.pairs},
                     "base_q": {
-                        words.format_word(w): quotient.mask_cosets(m) for w, m in t.base_q.items()
+                        words.format_word(w): quotient.mask_cosets(m) for w, m in base_q.items()
                     },
                 }
             )
@@ -197,7 +198,7 @@ def _cmd_quotient_dump(args) -> int:
     for w in ("", "a", "b", "c", "d"):
         print(
             f"{words.format_word(w)}\t"
-            + ",".join(str(g) for g in quotient.mask_cosets(t.base_q[w]))
+            + ",".join(str(g) for g in quotient.mask_cosets(base_q[w]))
         )
     return 0
 

@@ -53,9 +53,8 @@ from __future__ import annotations
 
 from .quotient import (
     IDENTITY_COSET,
-    QuotientTables,
+    base_q,
     coset,
-    get_tables,
     q_even,
     q_odd_cosets,
     relative,
@@ -101,8 +100,7 @@ class WordRecord:
 class ConjTable:
     """Conjugacy table plus the word universe and instrumentation."""
 
-    def __init__(self, tables: QuotientTables):
-        self.tables = tables
+    def __init__(self):
         self.lambda1 = {}   # word -> WordRecord
         self.lambda2 = {}   # row key -> member records
         self.ops = 0
@@ -117,11 +115,10 @@ class ConjTable:
     def _seed(self):
         """Split the five seed words like any other, make each its own
         representative, and open one row per seed under its key."""
-        base = self.tables.base_q
         seeds = collect_universe(("", "a", "b", "c", "d"), self)
         for rec in seeds:
             rec.rep = rec
-            rec.q_to_rep = base[rec.word]
+            rec.q_to_rep = base_q()[rec.word]
         for rec in seeds:
             self.lambda2[self._row_key(rec)] = [rec]
 
@@ -146,7 +143,7 @@ class ConjTable:
         if x.rep is not y.rep:
             return 0
         self.ops += 16
-        return relative(y.q_to_rep, x.q_to_rep, self.tables)
+        return relative(y.q_to_rep, x.q_to_rep)
 
     def _q_against_even(self, rec: WordRecord, other: WordRecord) -> int:
         self.ops += 256
@@ -156,7 +153,6 @@ class ConjTable:
             tr(rec.child1, other.child1),
             tr(rec.child1, other.child0),
             tr(rec.child0, other.child1),
-            self.tables,
         )
 
     def _q_against_odd(self, rec: WordRecord, other: WordRecord) -> int:
@@ -164,7 +160,7 @@ class ConjTable:
         q_prod = self.transport(rec.child, other.child)
         if not q_prod:
             return 0
-        return q_odd_cosets(q_prod, rec.oc1, other.oc0, other.oc1, self.tables)
+        return q_odd_cosets(q_prod, rec.oc1, other.oc0, other.oc1)
 
     # -- processing ---------------------------------------------------------
     def process(self, rec: WordRecord):
@@ -261,7 +257,6 @@ def collect_universe(inputs, table: ConjTable) -> list:
     """Create a record for every splitting-tree label of every input, each
     linked to its children's records as it is split, and return the new
     records in shortlex processing order."""
-    t = table.tables
     lam1 = table.lambda1
     words_out = []
     stack = []
@@ -290,40 +285,38 @@ def collect_universe(inputs, table: ConjTable) -> list:
             rec.child = record(y)
             rec.sec0 = w0
             rec.sec1 = w1
-            rec.oc0 = coset(w0, t)
-            rec.oc1 = coset(w1, t)
+            rec.oc0 = coset(w0)
+            rec.oc1 = coset(w1)
             table.ops += len(w0) + len(w1)
     ordered = shortlex_order(words_out)
     table.ops += sum(map(len, ordered)) + len(ordered)
     return [lam1[w] for w in ordered]
 
 
-def solve(inputs, tables: QuotientTables | None = None) -> SolveResult:
+def solve(inputs) -> SolveResult:
     """Process all inputs (and their splitting trees) into one table."""
-    if tables is None:
-        tables = get_tables()
     inputs = [parse(w) for w in inputs]
-    table = ConjTable(tables)
+    table = ConjTable()
     for rec in collect_universe(inputs, table):
         if rec.rep is None:
             table.process(rec)
     return SolveResult(table, inputs)
 
 
-def are_conjugate(u: str, v: str, tables: QuotientTables | None = None) -> bool:
-    res = solve([u, v], tables)
+def are_conjugate(u: str, v: str) -> bool:
+    res = solve([u, v])
     return res.record(res.inputs[0]).rep is res.record(res.inputs[1]).rep
 
 
-def q_set(u: str, v: str, tables: QuotientTables | None = None) -> int:
+def q_set(u: str, v: str) -> int:
     """The set Q(u, v) of cosets of x with u = x^-1 v x, as a bitmask."""
-    res = solve([u, v], tables)
+    res = solve([u, v])
     return res.q_set(res.inputs[0], res.inputs[1])
 
 
-def conjugate_pairs(inputs, tables: QuotientTables | None = None):
+def conjugate_pairs(inputs):
     """First (i, j) with i < j and inputs[i] conjugate to inputs[j]."""
-    res = solve(inputs, tables)
+    res = solve(inputs)
     seen = {}
     for j, w in enumerate(res.inputs):
         rep = res.record(w).rep

@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .quotient import (
-    QuotientTables,
+    base_q,
     generator_leaf_perms,
-    get_tables,
     lift_set_product,
     q_odd_cosets,
     coset,
@@ -118,8 +117,7 @@ def _parity_distinct(u: str, v: str) -> bool:
 
 
 class _NaiveQ:
-    def __init__(self, tables: QuotientTables):
-        self.t = tables
+    def __init__(self):
         self.memo = {}
         self.in_progress = set()
 
@@ -142,8 +140,7 @@ class _NaiveQ:
         if _parity_distinct(u, v):
             return 0
         if len(u) <= 1 and u == v:
-            return self.t.base_q[u]
-        t = self.t
+            return base_q()[u]
         if a_parity(u) == 0:
             u0, u1 = phi_pair(u)
             v0, v1 = phi_pair(v)
@@ -163,32 +160,26 @@ class _NaiveQ:
                 s1 = self.q(x1, y1)
                 if not s1:
                     continue
-                part = lift_set_product(s0, s1, t)
-                out |= shift_a(part, t) if twist else part
+                part = lift_set_product(s0, s1)
+                out |= shift_a(part) if twist else part
             return out
         u0, u1 = phi_pair(reduce(u + "a"))
         v0, v1 = phi_pair(reduce(v + "a"))
         q_prod = self.q(reduce(u0 + u1), reduce(v0 + v1))
         if not q_prod:
             return 0
-        return q_odd_cosets(
-            q_prod, coset(u1, t), coset(v0, t), coset(v1, t), t
-        )
+        return q_odd_cosets(q_prod, coset(u1), coset(v0), coset(v1))
 
 
-def naive_q(u: str, v: str, tables: QuotientTables | None = None, solver: _NaiveQ | None = None) -> int:
+def naive_q(u: str, v: str, solver: _NaiveQ | None = None) -> int:
     """Q(u, v) by direct recursion with memoization; no linearity claim."""
-    if solver is not None:
-        return solver.q(reduce(u), reduce(v))
-    if tables is None:
-        tables = get_tables()
-    return _NaiveQ(tables).q(reduce(u), reduce(v))
+    return (solver or _NaiveQ()).q(reduce(u), reduce(v))
 
 
-def make_naive_solver(tables: QuotientTables | None = None) -> _NaiveQ:
+def make_naive_solver() -> _NaiveQ:
     """A reusable memoizing solver for batch comparisons."""
-    return _NaiveQ(tables if tables is not None else get_tables())
+    return _NaiveQ()
 
 
-def naive_conjugate(u: str, v: str, tables: QuotientTables | None = None) -> bool:
-    return naive_q(u, v, tables) != 0
+def naive_conjugate(u: str, v: str) -> bool:
+    return naive_q(u, v) != 0

@@ -7,10 +7,12 @@ preimage, the lifting function on those pairs, and the base Q-sets of the
 five one-letter words.  Subsets of the 16 cosets are plain ints used as
 bitmasks, so every Q-set operation is a bounded table walk or lookup.
 
-Every Q formula on the engine's per-word path is a constant number of
-``functools.cache`` lookups, so the loops below run once per distinct
-key.  The cached functions take the tables last, so each key holds the
-tables object and the entries are per table:
+The quotient is unique and its coset numbering is fixed by the build, so
+one process holds one copy: ``get_tables`` builds it on first use, and
+every function below reads it from there.  Every Q formula on the
+engine's per-word path is a constant number of ``functools.cache``
+lookups, keyed on ints only, so the loops below run once per distinct
+key:
 
 - ``relative`` (Q(y,r)^-1 Q(x,r)) and ``lift_set_product`` on two masks,
   at most 180^2 keys each, and ``shift_a`` on one;
@@ -22,7 +24,9 @@ tables object and the entries are per table:
 The 180 are the empty set and the 179 cosets of the 35 subgroups of the
 quotient: every Q-set is empty or the image of a coset of a centralizer.
 The caches take no lock: two threads that miss on the same key both
-compute it, and both store the same value.
+compute it, and both store the same value.  The cache entries outlive a
+reset of the process's tables: they stay valid only because every build
+that succeeds yields the same tables, entry for entry.
 
 This module is the single home of the two finite Q formulas: ``q_even``
 and ``q_odd_cosets`` give Q of a word pair from the Q-sets and cosets of
@@ -117,8 +121,8 @@ class QuotientTables:
     slots are exactly the relation L.  ``even_cosets`` is the image of
     the lift, the cosets of words with an even a-count.
 
-    Equality and hashing are by identity, so keying the caches of the
-    Q-set operations on the tables costs one hash in C.
+    Equality is identity.  Every build that succeeds holds the same
+    data, so two builds are compared field by field.
     """
 
     mul: tuple
@@ -133,16 +137,12 @@ class QuotientTables:
         """The relation L as coset-id pairs."""
         return [(i >> 4, i & 15) for i, t in enumerate(self.lift) if t >= 0]
 
-    @functools.cached_property
-    def base_q(self) -> dict:
-        """The certified Q-sets of the five one-letter words."""
-        return derive_base_q(self)
 
-
-def coset(w: str, tables: QuotientTables) -> int:
+def coset(w: str) -> int:
+    t = get_tables()
     c = IDENTITY_COSET
-    mul = tables.mul
-    gc = tables.gen_coset
+    mul = t.mul
+    gc = t.gen_coset
     for ch in w:
         c = mul[c][gc[ch]]
     return c
@@ -153,18 +153,18 @@ def mask_cosets(mask: int) -> list:
     return [g for g in range(16) if mask >> g & 1]
 
 
-def set_inv(mask: int, tables: QuotientTables) -> int:
+def set_inv(mask: int) -> int:
     out = 0
-    inv = tables.inv
+    inv = get_tables().inv
     for g in range(16):
         if mask >> g & 1:
             out |= 1 << inv[g]
     return out
 
 
-def set_mul(left: int, right: int, tables: QuotientTables) -> int:
+def set_mul(left: int, right: int) -> int:
     out = 0
-    mul = tables.mul
+    mul = get_tables().mul
     for g0 in range(16):
         if left >> g0 & 1:
             row = mul[g0]
@@ -175,26 +175,27 @@ def set_mul(left: int, right: int, tables: QuotientTables) -> int:
 
 
 @functools.cache
-def shift_a(mask: int, tables: QuotientTables) -> int:
+def shift_a(mask: int) -> int:
     """Right-multiply every coset in the set by the coset of a."""
-    return set_mul(mask, 1 << tables.gen_coset["a"], tables)
+    return set_mul(mask, 1 << get_tables().gen_coset["a"])
 
 
 @functools.cache
-def relative(qy: int, qx: int, tables: QuotientTables) -> int:
+def relative(qy: int, qx: int) -> int:
     """Q(x, y) = Q(y,r)^-1 Q(x,r) from qy = Q(y,r) and qx = Q(x,r)."""
-    return set_mul(set_inv(qy, tables), qx, tables)
+    return set_mul(set_inv(qy), qx)
 
 
 @functools.cache
-def lift_set_product(s0: int, s1: int, tables: QuotientTables) -> int:
+def lift_set_product(s0: int, s1: int) -> int:
     """lift(s0 x s1): at most 256 pair lookups."""
-    return _lift_image(((g0, g1) for g0 in mask_cosets(s0) for g1 in mask_cosets(s1)), tables.lift)
+    return _lift_image((g0, g1) for g0 in mask_cosets(s0) for g1 in mask_cosets(s1))
 
 
-def _lift_image(pairs, lift: tuple) -> int:
+def _lift_image(pairs) -> int:
     """The set of lift[(g0, g1)] over coset pairs, skipping pairs outside L."""
     out = 0
+    lift = get_tables().lift
     for g0, g1 in pairs:
         t = lift[(g0 << 4) | g1]
         if t >= 0:
@@ -202,45 +203,46 @@ def _lift_image(pairs, lift: tuple) -> int:
     return out
 
 
-def q_even(q00: int, q11: int, q10: int, q01: int, tables: QuotientTables) -> int:
+def q_even(q00: int, q11: int, q10: int, q01: int) -> int:
     """Q of an even pair from the four child Q-sets:
     lift[Q(u0,v0) x Q(u1,v1)] u lift[Q(u1,v0) x Q(u0,v1)]a.
     """
-    out = lift_set_product(q00, q11, tables)
-    cross = lift_set_product(q10, q01, tables)
+    out = lift_set_product(q00, q11)
+    cross = lift_set_product(q10, q01)
     if cross:
-        out |= shift_a(cross, tables)
+        out |= shift_a(cross)
     return out
 
 
-def q_odd_cosets(q_prod: int, cu1: int, cv0: int, cv1: int, tables: QuotientTables) -> int:
+def q_odd_cosets(q_prod: int, cu1: int, cv0: int, cv1: int) -> int:
     """Q of an odd pair from Q(u0·u1, v0·v1) and the section cosets:
     lift{(g, v1·g·u1^-1)} u lift{(g·u1^-1, v0^-1·g)}a.
     """
-    return _q_odd_direct(q_prod, cu1, cv1, tables) | _q_odd_twisted(q_prod, cu1, cv0, tables)
+    return _q_odd_direct(q_prod, cu1, cv1) | _q_odd_twisted(q_prod, cu1, cv0)
 
 
 @functools.cache
-def _q_odd_direct(q_prod: int, cu1: int, cv1: int, tables: QuotientTables) -> int:
+def _q_odd_direct(q_prod: int, cu1: int, cv1: int) -> int:
     """lift{(g, v1·g·u1^-1) : g in q_prod}."""
-    mul = tables.mul
-    iu1 = tables.inv[cu1]
+    t = get_tables()
+    mul = t.mul
+    iu1 = t.inv[cu1]
     row = mul[cv1]
-    return _lift_image(((g, row[mul[g][iu1]]) for g in mask_cosets(q_prod)), tables.lift)
+    return _lift_image((g, row[mul[g][iu1]]) for g in mask_cosets(q_prod))
 
 
 @functools.cache
-def _q_odd_twisted(q_prod: int, cu1: int, cv0: int, tables: QuotientTables) -> int:
+def _q_odd_twisted(q_prod: int, cu1: int, cv0: int) -> int:
     """lift{(g·u1^-1, v0^-1·g) : g in q_prod}·a."""
-    mul = tables.mul
-    iu1 = tables.inv[cu1]
-    row = mul[tables.inv[cv0]]
-    pairs = ((mul[g][iu1], row[g]) for g in mask_cosets(q_prod))
-    return shift_a(_lift_image(pairs, tables.lift), tables)
+    t = get_tables()
+    mul = t.mul
+    iu1 = t.inv[cu1]
+    row = mul[t.inv[cv0]]
+    return shift_a(_lift_image((mul[g][iu1], row[g]) for g in mask_cosets(q_prod)))
 
 
 @functools.cache
-def even_witnesses(g: int, tables: QuotientTables) -> tuple:
+def even_witnesses(g: int) -> tuple:
     """The coset pairs (g0, g1), in ascending order, whose single-coset
     ``q_even`` contains g: through its direct term when g is an even
     coset, through its cross term otherwise.
@@ -252,11 +254,11 @@ def even_witnesses(g: int, tables: QuotientTables) -> tuple:
         (g0, g1)
         for g0 in range(16)
         for g1 in range(16)
-        if q_even(1 << g0, 1 << g1, 1 << g0, 1 << g1, tables) >> g & 1
+        if q_even(1 << g0, 1 << g1, 1 << g0, 1 << g1) >> g & 1
     )
 
 
-def odd_witnesses(cu1: int, cv0: int, cv1: int, g: int, tables: QuotientTables) -> int:
+def odd_witnesses(cu1: int, cv0: int, cv1: int, g: int) -> int:
     """The mask of product cosets gp whose single-coset
     ``q_odd_cosets(1 << gp, cu1, cv0, cv1)`` contains g.
 
@@ -264,16 +266,16 @@ def odd_witnesses(cu1: int, cv0: int, cv1: int, g: int, tables: QuotientTables) 
     only the twisted term, which reads cv0, an odd one; so the answer is
     read from a row keyed on cu1 and the one coset g's term reads.
     """
-    return _odd_witness_row(cu1, cv1 if tables.even_cosets >> g & 1 else cv0, tables)[g]
+    return _odd_witness_row(cu1, cv1 if get_tables().even_cosets >> g & 1 else cv0)[g]
 
 
 @functools.cache
-def _odd_witness_row(cu1: int, c: int, tables: QuotientTables) -> tuple:
+def _odd_witness_row(cu1: int, c: int) -> tuple:
     """Per target coset, the mask of product cosets gp whose single-coset
     ``q_odd_cosets(1 << gp, cu1, c, c)`` contains it."""
     row = [0] * 16
     for gp in range(16):
-        for target in mask_cosets(q_odd_cosets(1 << gp, cu1, c, c, tables)):
+        for target in mask_cosets(q_odd_cosets(1 << gp, cu1, c, c)):
             row[target] |= 1 << gp
     return tuple(row)
 
@@ -377,7 +379,7 @@ def _tables_from_group(depth: int) -> QuotientTables | None:
             raise BuildDivergence("lift table is not single-valued")
         lift[idx] = xw
 
-    tables = QuotientTables(
+    return QuotientTables(
         mul=mul,
         inv=inv,
         gen_coset=gen_coset,
@@ -385,11 +387,16 @@ def _tables_from_group(depth: int) -> QuotientTables | None:
         stabilizer_depth=depth,
         even_cosets=sum(1 << t for t in set(lift) if t >= 0),
     )
-    tables.base_q  # certified here, so a SandwichGap raises at build time
-    return tables
 
 
-def derive_base_q(tables: QuotientTables, max_witness_len: int = 24) -> dict:
+@functools.cache
+def base_q() -> dict:
+    """The certified Q-sets of the five one-letter words, derived on first
+    use, so a ``SandwichGap`` raises at the first solve."""
+    return derive_base_q()
+
+
+def derive_base_q(max_witness_len: int = 24) -> dict:
     """Certified Q-sets of the five one-letter words.
 
     Q(1,1) is everything, and Q(a,a) follows directly from the odd
@@ -401,13 +408,13 @@ def derive_base_q(tables: QuotientTables, max_witness_len: int = 24) -> dict:
     witnesses give a lower bound; equality certifies exactness.
     """
     q_eps = FULL_MASK
-    q_aa = q_odd_cosets(FULL_MASK, 0, 0, 0, tables)
+    q_aa = q_odd_cosets(FULL_MASK, 0, 0, 0)
 
     qb = qc = qd = FULL_MASK
     while True:
-        nb = lift_set_product(q_aa, qc, tables)
-        nc = lift_set_product(q_aa, qd, tables)
-        nd = lift_set_product(FULL_MASK, qb, tables)
+        nb = lift_set_product(q_aa, qc)
+        nc = lift_set_product(q_aa, qd)
+        nd = lift_set_product(FULL_MASK, qb)
         if (nb, nc, nd) == (qb, qc, qd):
             break
         qb, qc, qd = nb, nc, nd
@@ -417,7 +424,7 @@ def derive_base_q(tables: QuotientTables, max_witness_len: int = 24) -> dict:
     done = False
     for x in iter_reduced_words(max_witness_len):
         xi = inverse(x)
-        cx = coset(x, tables)
+        cx = coset(x)
         for g in "abcd":
             if lower[g] >> cx & 1:
                 continue

@@ -33,7 +33,6 @@ import threading
 
 from . import engine
 from .quotient import (
-    QuotientTables,
     coset,
     even_witnesses,
     get_tables,
@@ -121,7 +120,7 @@ def dihedral_normalize(w: str) -> str:
     return _DIHEDRAL_WORDS[(k, e)]
 
 
-def lift_word(x0: str, x1: str, tables: QuotientTables | None = None) -> str:
+def lift_word(x0: str, x1: str) -> str:
     """A word x with even a-count whose sections equal (x0, x1) in the
     group.  Both are parsed as ``find_conjugator`` parses its words.
 
@@ -130,18 +129,16 @@ def lift_word(x0: str, x1: str, tables: QuotientTables | None = None) -> str:
     left on the left section is verified to vanish rather than assumed.
     |x| <= 2(|x0| + |x1|) + 10, built in linear time.
     """
-    if tables is None:
-        tables = get_tables()
     x0, x1 = parse(x0), parse(x1)
-    x = _lift(x0, x1, coset(x0, tables), coset(x1, tables), tables)
+    x = _lift(x0, x1, coset(x0), coset(x1))
     _check_lift(x0, x1, x)
     return x
 
 
-def _lift(x0: str, x1: str, c0: int, c1: int, tables: QuotientTables) -> str:
+def _lift(x0: str, x1: str, c0: int, c1: int) -> str:
     """``lift_word`` for sections whose cosets c0, c1 are known, without
     the residue check."""
-    if tables.lift[(c0 << 4) | c1] < 0:
+    if get_tables().lift[(c0 << 4) | c1] < 0:
         raise NotLiftable(f"cosets of ({x0!r}, {x1!r}) are not a section pair")
     z0 = tau(0, x0)
     delta0 = dihedral_normalize(x0.translate(_PHI1_TAU0))
@@ -166,7 +163,7 @@ def _check_lift(x0: str, x1: str, x: str) -> None:
 # ---------------------------------------------------------------------------
 # Base conjugator table over the norm < 9 universe.
 
-def build_base_conj_table(tables: QuotientTables | None = None, max_len: int = 24) -> dict:
+def build_base_conj_table(max_len: int = 24) -> dict:
     """Explicit conjugators ``{(u, v, g): x}`` for every slot with both
     words in the norm < 9 universe and coset g in Q(u, v), filled by
     shortlex-increasing witness search.
@@ -177,10 +174,8 @@ def build_base_conj_table(tables: QuotientTables | None = None, max_len: int = 2
     word (filling that slot) or is group-equal to one of the few words in
     v's conjugacy class, checked only while those slots remain open.
     """
-    if tables is None:
-        tables = get_tables()
     universe = norm9_universe()
-    solved = engine.solve(universe, tables)
+    solved = engine.solve(universe)
 
     classes: dict = {}
     for w in universe:
@@ -198,7 +193,7 @@ def build_base_conj_table(tables: QuotientTables | None = None, max_len: int = 2
             for x in iter_reduced_words(max_len):
                 if not by_coset:
                     break
-                cx = coset(x, tables)
+                cx = coset(x)
                 candidates = by_coset.get(cx)
                 if not candidates:
                     continue
@@ -245,10 +240,10 @@ class _Searcher:
     at the deepest level that broke, where ``path`` ends.
     """
 
-    def __init__(self, solved: engine.SolveResult, tables: QuotientTables, base: dict, checked=False):
+    def __init__(self, solved: engine.SolveResult, checked=False):
         self.solved = solved
-        self.t = tables
-        self.base = base
+        self.t = get_tables()
+        self.base = get_base_table()
         self.checked = checked
         self.memo = {}
         self.path = []
@@ -261,7 +256,7 @@ class _Searcher:
             self.path.append(key)
             x = self._find(u, v, g)
             if self.checked:
-                _verify(u, v, g, x, self.t)
+                _verify(u, v, g, x)
             self.memo[key] = x
             self.path.pop()
         return x
@@ -299,7 +294,7 @@ class _Searcher:
             q0, q1 = transport(a0, b0), transport(a1, b1)
             u0, u1, v0, v1 = a0.word, a1.word, b0.word, b1.word
             best = None
-            for g0, g1 in even_witnesses(g, t):
+            for g0, g1 in even_witnesses(g):
                 if q0 >> g0 & 1 and q1 >> g1 & 1:
                     y0, y1 = find(u0, v0, g0), find(u1, v1, g1)
                     if best is None or len(y0) + len(y1) < len(best[0]) + len(best[1]):
@@ -312,7 +307,7 @@ class _Searcher:
                 x = product(x, "a")
             return self._check(u, v, x, max(len(x0), len(x1)))
         rp, rq = ru.child, rv.child
-        witnesses = transport(rp, rq) & odd_witnesses(ru.oc1, rv.oc0, rv.oc1, g, t)
+        witnesses = transport(rp, rq) & odd_witnesses(ru.oc1, rv.oc0, rv.oc1, g)
         if not witnesses:
             raise AssertionError(f"no product coset produces {g} for ({u!r}, {v!r})")
         p, q = rp.word, rq.word
@@ -339,7 +334,7 @@ class _Searcher:
         return self._check(u, v, x, len(z))
 
     def _lift(self, x0: str, x1: str, c0: int, c1: int) -> str:
-        x = _lift(x0, x1, c0, c1, self.t)
+        x = _lift(x0, x1, c0, c1)
         if self.checked:
             _check_lift(x0, x1, x)
         return x
@@ -353,22 +348,16 @@ class _Searcher:
         return x
 
 
-def _verify(u: str, v: str, g: int, x: str, tables: QuotientTables) -> None:
+def _verify(u: str, v: str, g: int, x: str) -> None:
     """Raise ``AssertionError`` unless u = x^-1 v x and x lies in coset g."""
-    c = coset(x, tables)
+    c = coset(x)
     if c != g:
         raise AssertionError(f"conjugator landed in coset {c}")
     if not equal(u, product(product(inverse(x), v), x)):
         raise AssertionError("conjugator failed verification")
 
 
-def find_conjugator(
-    u: str,
-    v: str,
-    g: int | None = None,
-    tables: QuotientTables | None = None,
-    base: dict | None = None,
-):
+def find_conjugator(u: str, v: str, g: int | None = None):
     """A verified x with u = x^-1 v x, else None.
 
     When ``g`` is given, x must also lie in coset ``g``, a coset id in
@@ -376,12 +365,8 @@ def find_conjugator(
     """
     if g is not None and (type(g) is not int or not 0 <= g < 16):
         raise ValueError(f"g must be a coset id in 0..15, got {g!r}")
-    if tables is None:
-        tables = get_tables()
-    if base is None:
-        base = get_base_table()
     u, v = parse(u), parse(v)
-    solved = engine.solve([u, v], tables)
+    solved = engine.solve([u, v])
     q = solved.q_set(u, v)
     if not q:
         return None
@@ -390,14 +375,14 @@ def find_conjugator(
     elif not q >> g & 1:
         return None
     try:
-        x = _Searcher(solved, tables, base).find(u, v, g)
-        _verify(u, v, g, x, tables)
+        x = _Searcher(solved).find(u, v, g)
+        _verify(u, v, g, x)
         return x
     except (AssertionError, NotLiftable) as exc:
         fault = exc
     # Search again with every level checked; it stops at the deepest
     # level that broke.  Should it pass, the error names the top.
-    checked = _Searcher(solved, tables, base, checked=True)
+    checked = _Searcher(solved, checked=True)
     try:
         checked.find(u, v, g)
     except (AssertionError, NotLiftable, LiftResidual) as exc:

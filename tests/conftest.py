@@ -15,7 +15,7 @@ def tables():
 
 
 @pytest.fixture(scope="session")
-def base_table(tables):
+def base_table():
     return search.get_base_table()
 
 

@@ -241,15 +241,36 @@ class TestInternalErrors:
         assert len(captured.err.splitlines()) == 1
 
 
+def run_module(argv, max_depth=None):
+    """``python -m grigconj`` in a fresh process, with GRIG_MAX_DEPTH set
+    to ``max_depth`` or unset."""
+    src = os.path.dirname(os.path.dirname(grigconj.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("GRIG_MAX_DEPTH", None)
+    if max_depth is not None:
+        env["GRIG_MAX_DEPTH"] = max_depth
+    return subprocess.run(
+        [sys.executable, "-m", "grigconj", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
-        src = os.path.dirname(os.path.dirname(grigconj.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        env.pop("GRIG_MAX_DEPTH", None)
-        proc = subprocess.run(
-            [sys.executable, "-m", "grigconj", "conj", "b", "aba"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_module(["conj", "b", "aba"])
         assert proc.returncode == 0
         assert proc.stdout == "YES\n"
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [("x", "error: GRIG_MAX_DEPTH"), ("1", "error: index did not reach 16")],
+    )
+    def test_bad_configuration_in_a_fresh_process(self, raw, message):
+        # No table or cache exists yet: the first build runs from inside
+        # the first solve.
+        proc = run_module(["conj", "b", "aba"], max_depth=raw)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(message)
+        assert len(proc.stderr.splitlines()) == 1

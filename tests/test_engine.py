@@ -20,13 +20,13 @@ from grigconj.engine import (
     shortlex_order,
     solve,
 )
-from grigconj.quotient import IDENTITY_COSET, coset
+from grigconj.quotient import IDENTITY_COSET, base_q, coset
 from grigconj.words import a_parity, equal, inverse, iter_reduced_words, reduce, split
 
 
 class TestInitialTable:
-    def test_five_seed_rows(self, tables):
-        table = ConjTable(tables)
+    def test_five_seed_rows(self):
+        table = ConjTable()
         eps, a, b, c, d = (table.lambda1[w] for w in ("", "a", "b", "c", "d"))
         # Keyed by the representative records of each seed's children,
         # a pair put in the order of its words.
@@ -39,36 +39,36 @@ class TestInitialTable:
         ]
         assert table.rows == [[eps], [a], [b], [c], [d]]
 
-    def test_seeds_are_their_own_representatives(self, tables):
-        table = ConjTable(tables)
+    def test_seeds_are_their_own_representatives(self):
+        table = ConjTable()
         for w in ("", "a", "b", "c", "d"):
             rec = table.lambda1[w]
             assert rec.rep is rec
-            assert rec.q_to_rep == tables.base_q[w]
+            assert rec.q_to_rep == base_q()[w]
 
 
 class TestUniverse:
-    def test_identity_input_gives_seed_universe(self, tables):
-        res = solve([""], tables)
+    def test_identity_input_gives_seed_universe(self):
+        res = solve([""])
         assert set(res.table.lambda1) == {"", "a", "b", "c", "d"}
 
-    def test_aba_universe(self, tables):
+    def test_aba_universe(self):
         # Tree labels of aba are {aba, c, a}; merged with the seeds.
-        res = solve(["aba"], tables)
+        res = solve(["aba"])
         assert set(res.table.lambda1) == {
             "", "a", "b", "c", "d", "aba",
         }
 
-    def test_duplicate_inputs_share_a_record(self, tables):
-        res = solve(["b", "b"], tables)
+    def test_duplicate_inputs_share_a_record(self):
+        res = solve(["b", "b"])
         assert res.record("b") is res.record("b")
         assert len(res.table.lambda1) == 5
 
     @given(st.lists(st.text(alphabet="abcd", max_size=30).map(reduce), max_size=10))
-    def test_collect_universe_shortlex_and_resolved(self, tables, ws):
+    def test_collect_universe_shortlex_and_resolved(self, ws):
         # Duplicates and the empty word ride along with every draw.
         inputs = ws + ws[:3] + [""]
-        table = ConjTable(tables)
+        table = ConjTable()
         out = collect_universe(inputs, table)
         labels = [rec.word for rec in out]
         assert labels == sorted(set(labels), key=lambda w: (len(w), w))
@@ -87,11 +87,11 @@ class TestUniverse:
             "", "d", "ab", "ac", "ba", "ca",
         ]
 
-    def test_odd_prerequisite_chain(self, tables):
+    def test_odd_prerequisite_chain(self):
         # Processing ab needs its same-length child ca, which needs ad,
         # whose child is the seed b: the full three-deep chain.
-        res = solve(["ab"], tables)
-        solver = oracle.make_naive_solver(tables)
+        res = solve(["ab"])
+        solver = oracle.make_naive_solver()
         for w in ("ab", "ca", "ad"):
             rec = res.record(w)
             assert rec.rep is not None
@@ -99,57 +99,57 @@ class TestUniverse:
 
 
 class TestSolveBasics:
-    def test_b_keeps_its_row(self, tables):
-        res = solve(["b"], tables)
+    def test_b_keeps_its_row(self):
+        res = solve(["b"])
         assert res.representative("b") == "b"
 
-    def test_aba_joins_b(self, tables):
-        res = solve(["aba"], tables)
+    def test_aba_joins_b(self):
+        res = solve(["aba"])
         assert res.representative("aba") == "b"
         assert res.record("aba").q_to_rep
 
-    def test_same_rep_for_conjugates(self, tables):
-        res = solve(["b", "aba"], tables)
+    def test_same_rep_for_conjugates(self):
+        res = solve(["b", "aba"])
         assert res.representative("b") == res.representative("aba")
 
-    def test_seed_pairs_not_conjugate(self, tables):
-        assert not are_conjugate("b", "c", tables)
-        assert not are_conjugate("", "a", tables)
-        assert not are_conjugate("b", "d", tables)
-        assert not are_conjugate("c", "d", tables)
+    def test_seed_pairs_not_conjugate(self):
+        assert not are_conjugate("b", "c")
+        assert not are_conjugate("", "a")
+        assert not are_conjugate("b", "d")
+        assert not are_conjugate("c", "d")
 
-    def test_reflexive(self, tables, rng):
+    def test_reflexive(self, rng):
         for _ in range(20):
             w = rand_reduced(rng.randrange(0, 40), rng)
-            assert are_conjugate(w, w, tables)
+            assert are_conjugate(w, w)
 
-    def test_identity_word_maps_to_empty_rep(self, tables):
-        res = solve(["adadadad"], tables)
+    def test_identity_word_maps_to_empty_rep(self):
+        res = solve(["adadadad"])
         assert res.representative("adadadad") == ""
         # Everything conjugates the identity to itself, so the stored
         # Q-set against the representative is the full coset set.
         assert res.record("adadadad").q_to_rep == 0xFFFF
 
-    def test_accepts_unreduced_input(self, tables):
-        assert are_conjugate("bc", "d", tables)
+    def test_accepts_unreduced_input(self):
+        assert are_conjugate("bc", "d")
 
-    def test_per_input_shape(self, tables):
-        res = solve(["b", "aba", "c"], tables)
+    def test_per_input_shape(self):
+        res = solve(["b", "aba", "c"])
         out = res.per_input()
         assert [r for r, _ in out] == ["b", "b", "c"]
         assert all(isinstance(m, int) and m for _, m in out)
 
-    def test_concurrent_solves_share_tables(self, tables, rng):
-        # Distinct solve runs own their tables; the quotient data is
+    def test_concurrent_solves_share_tables(self, rng):
+        # Distinct solve runs own their conjugacy tables; the quotient is
         # immutable and safely shared.
         import threading
 
         inputs = [[rand_reduced(rng.randrange(0, 60), rng) for _ in range(6)] for _ in range(4)]
-        expected = [solve(ws, tables).per_input() for ws in inputs]
+        expected = [solve(ws).per_input() for ws in inputs]
         results = [None] * 4
 
         def work(i):
-            results[i] = solve(inputs[i], tables).per_input()
+            results[i] = solve(inputs[i]).per_input()
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
         for th in threads:
@@ -160,36 +160,36 @@ class TestSolveBasics:
 
 
 class TestQSet:
-    def test_self_contains_identity(self, tables, rng):
+    def test_self_contains_identity(self, rng):
         for _ in range(20):
             w = rand_reduced(rng.randrange(0, 30), rng)
-            assert q_set(w, w, tables) >> IDENTITY_COSET & 1
+            assert q_set(w, w) >> IDENTITY_COSET & 1
 
-    def test_non_conjugate_empty(self, tables):
-        assert q_set("b", "c", tables) == 0
+    def test_non_conjugate_empty(self):
+        assert q_set("b", "c") == 0
 
     def test_witness_coset_appears(self, tables):
-        q = q_set("b", "aba", tables)
+        q = q_set("b", "aba")
         assert q >> tables.gen_coset["a"] & 1
         assert equal("b", reduce("a" + "aba" + "a"))
 
-    def test_oriented_correctly(self, tables, rng):
+    def test_oriented_correctly(self, rng):
         # Q(u, v) holds cosets of x with u = x^-1 v x; so for u built by
         # conjugating v with a known x, that coset must be present.
         for _ in range(40):
             v = rand_reduced(rng.randrange(0, 25), rng)
             x = rand_reduced(rng.randrange(0, 25), rng)
             u = reduce(inverse(x) + v + x)
-            assert q_set(u, v, tables) >> coset(x, tables) & 1
+            assert q_set(u, v) >> coset(x) & 1
 
-    def test_matches_naive_masks(self, tables, rng):
-        solver = oracle.make_naive_solver(tables)
+    def test_matches_naive_masks(self, rng):
+        solver = oracle.make_naive_solver()
         for _ in range(60):
             u = rand_reduced(rng.randrange(0, 14), rng)
             v = rand_reduced(rng.randrange(0, 14), rng)
-            assert q_set(u, v, tables) == solver.q(u, v)
+            assert q_set(u, v) == solver.q(u, v)
 
-    def test_brute_witness_cosets_are_reported(self, tables, rng):
+    def test_brute_witness_cosets_are_reported(self, rng):
         # Every conjugator found by plain enumeration must land in a coset
         # the engine's Q-set claims.
         from grigconj.oracle import DepthAction
@@ -197,7 +197,7 @@ class TestQSet:
 
         act = DepthAction.at_depth(9)
         small = list(iter_reduced_words(4))
-        res = solve(small, tables)
+        res = solve(small)
         pairs = [
             (u, v)
             for u in small
@@ -215,7 +215,7 @@ class TestQSet:
                     perms[x] = _compose(perms[x[:-1]], act.perms[x[-1]])
                 px = perms[x]
                 if _compose(_compose(_invert(px), pv), px) == pu:
-                    assert q >> coset_of(x, tables) & 1, (u, v, x)
+                    assert q >> coset_of(x) & 1, (u, v, x)
                     hits += 1
         assert hits > 50
 
@@ -229,7 +229,7 @@ class TestQAgainstBruteWitnesses:
     DEPTH = 10        # sufficient_depth of 4 + 4 + 2 * 8 letters is 9
     WITNESS_LEN = 8
 
-    def witness_cosets(self, ws, tables):
+    def witness_cosets(self, ws):
         from grigconj.oracle import DepthAction, sufficient_depth
         from grigconj.quotient import _compose, _invert
 
@@ -245,7 +245,7 @@ class TestQAgainstBruteWitnesses:
         found = {(u, v): 0 for u in ws for v in ws}
         for x, px in perms.items():
             pxi = _invert(px)
-            cx = coset(x, tables)
+            cx = coset(x)
             for v in ws:
                 # u = x^-1 v x
                 for u in words_at.get(_compose(_compose(pxi, perms[v]), px), ()):
@@ -257,11 +257,11 @@ class TestQAgainstBruteWitnesses:
         [(1, 3, 64), (0, 4, 73)],
         ids=["odd", "even"],
     )
-    def test_q_equals_witness_cosets(self, tables, parity, max_len, conjugate_pairs_expected):
+    def test_q_equals_witness_cosets(self, parity, max_len, conjugate_pairs_expected):
         ws = [w for w in iter_reduced_words(max_len) if a_parity(w) == parity]
-        found = self.witness_cosets(ws, tables)
+        found = self.witness_cosets(ws)
         assert sum(1 for m in found.values() if m) == conjugate_pairs_expected
-        res = solve(ws, tables)
+        res = solve(ws)
         for (u, v), want in found.items():
             assert res.q_set(u, v) == want, (u, v)
 
@@ -277,59 +277,59 @@ class TestQAgainstBruteWitnesses:
         for w in iter_reduced_words(7):
             if len(w) >= 5 and a_parity(w):
                 s0, s1, _ = split(w)
-                if {coset(s0, tables), coset(s1, tables)} - centre:
+                if {coset(s0), coset(s1)} - centre:
                     ws.append(w)
         ws = ws[::2]
-        found = self.witness_cosets(ws, tables)
+        found = self.witness_cosets(ws)
         assert sum(1 for m in found.values() if m) == 404
-        res = solve(ws, tables)
+        res = solve(ws)
         for (u, v), want in found.items():
             assert not want & ~res.q_set(u, v), (u, v, want)
 
 
 class TestConjugatePairs:
-    def test_finds_planted_pair(self, tables):
-        assert conjugate_pairs(["b", "c", "aba"], tables) == (0, 2)
+    def test_finds_planted_pair(self):
+        assert conjugate_pairs(["b", "c", "aba"]) == (0, 2)
 
-    def test_none_when_pairwise_distinct(self, tables):
-        assert conjugate_pairs(["b", "c", "d"], tables) is None
+    def test_none_when_pairwise_distinct(self):
+        assert conjugate_pairs(["b", "c", "d"]) is None
 
-    def test_singleton_list(self, tables):
-        assert conjugate_pairs(["abab"], tables) is None
+    def test_singleton_list(self):
+        assert conjugate_pairs(["abab"]) is None
 
-    def test_duplicate_words_pair_up(self, tables):
-        assert conjugate_pairs(["ab", "ab"], tables) == (0, 1)
+    def test_duplicate_words_pair_up(self):
+        assert conjugate_pairs(["ab", "ab"]) == (0, 1)
 
-    def test_earliest_pair_wins(self, tables):
+    def test_earliest_pair_wins(self):
         # b ~ aba at (0, 2) precedes c ~ aca at (1, 3).
-        assert conjugate_pairs(["b", "c", "aba", "aca"], tables) == (0, 2)
+        assert conjugate_pairs(["b", "c", "aba", "aca"]) == (0, 2)
 
 
 class TestAgainstPlantedConjugations:
-    def test_planted_positive_random(self, tables, rng):
+    def test_planted_positive_random(self, rng):
         for _ in range(50):
             v = rand_reduced(rng.randrange(0, 60), rng)
             x = rand_reduced(rng.randrange(0, 60), rng)
             u = reduce(inverse(x) + v + x)
-            assert are_conjugate(u, v, tables)
+            assert are_conjugate(u, v)
 
-    def test_parity_invariant(self, tables, rng):
+    def test_parity_invariant(self, rng):
         for _ in range(50):
             u = rand_reduced(rng.randrange(0, 30), rng)
             v = rand_reduced(rng.randrange(0, 30), rng)
             if a_parity(u) != a_parity(v):
-                assert not are_conjugate(u, v, tables)
+                assert not are_conjugate(u, v)
 
-    def test_small_words_against_naive(self, tables):
+    def test_small_words_against_naive(self):
         ws = list(iter_reduced_words(4))
-        res = solve(ws, tables)
-        solver = oracle.make_naive_solver(tables)
+        res = solve(ws)
+        solver = oracle.make_naive_solver()
         for u in ws:
             for v in ws:
                 engine_says = res.record(u).rep is res.record(v).rep
                 assert engine_says == (solver.q(u, v) != 0), (u, v)
 
-    def test_periodic_power_families_against_naive(self, tables):
+    def test_periodic_power_families_against_naive(self):
         # Powers of short periods contract slowly under splitting and
         # exercise the odd-chain and row-collision paths the hardest.
         fams = []
@@ -337,20 +337,20 @@ class TestAgainstPlantedConjugations:
             for k in range(1, 16):
                 fams.append(reduce(base * k))
         fams = list(dict.fromkeys(fams))
-        res = solve(fams, tables)
-        solver = oracle.make_naive_solver(tables)
+        res = solve(fams)
+        solver = oracle.make_naive_solver()
         probe = fams[::3]
         for u in probe:
             for v in probe:
                 engine_says = res.record(u).rep is res.record(v).rep
                 assert engine_says == (solver.q(u, v) != 0), (u, v)
 
-    def test_identity_spellings_collapse(self, tables, rng):
+    def test_identity_spellings_collapse(self, rng):
         spellings = []
         for _ in range(25):
             x = rand_reduced(rng.randrange(0, 25), rng)
             spellings.append(reduce(x + "adadadad" + inverse(x)))
-        res = solve(spellings, tables)
+        res = solve(spellings)
         for w in spellings:
             assert res.representative(w) == ""
 
@@ -411,9 +411,9 @@ class TestOddWordsAgainstNaive:
 
     @settings(deadline=None)
     @given(odd_batches())
-    def test_q_sets_match_naive(self, tables, ws):
-        res = solve(ws, tables)
-        solver = oracle.make_naive_solver(tables)
+    def test_q_sets_match_naive(self, ws):
+        res = solve(ws)
+        solver = oracle.make_naive_solver()
         for u in ws:
             for v in ws:
                 assert res.q_set(u, v) == solver.q(u, v), (u, v)
@@ -445,10 +445,10 @@ class TestSwappedSections:
     @settings(deadline=None)
     @example((["adab", "daba"], []))      # sections (ba, c) and (c, ba)
     @given(swapped_batches())
-    def test_swapped_conjugates_share_a_row(self, tables, batch):
+    def test_swapped_conjugates_share_a_row(self, batch):
         planted, extra = batch
         ws = planted + extra
-        res = solve(ws, tables)
+        res = solve(ws)
         u, aua = res.record(planted[0]), res.record(planted[1])
         assert (aua.child0.word, aua.child1.word) == (u.child1.word, u.child0.word)
         row_key = {id(m): key for key, row in res.table.lambda2.items() for m in row}
@@ -458,16 +458,16 @@ class TestSwappedSections:
             # The row holding the representative is keyed by the classes
             # of w's sections, in either order.
             assert set(row_key[id(rec.rep)]) == {rec.child0.rep, rec.child1.rep}
-        solver = oracle.make_naive_solver(tables)
+        solver = oracle.make_naive_solver()
         for v in ws:
             for w in ws:
                 assert res.q_set(v, w) == solver.q(v, w), (v, w)
 
 
 class TestTableInvariants:
-    def test_row_capacity_and_entry_distinctness(self, tables, rng):
+    def test_row_capacity_and_entry_distinctness(self, rng):
         inputs = [rand_reduced(rng.randrange(0, 120), rng) for _ in range(60)]
-        res = solve(inputs, tables)
+        res = solve(inputs)
         assert res.max_row_size <= ROW_CAPACITY
         assert res.max_row_size == max(len(row) for row in res.table.rows)
         assert res.table.rows == list(res.table.lambda2.values())
@@ -479,19 +479,19 @@ class TestTableInvariants:
                 for e2 in row[i + 1 :]:
                     assert e1.rep is not e2.rep
 
-    def test_processed_records_have_nonempty_q(self, tables, rng):
+    def test_processed_records_have_nonempty_q(self, rng):
         inputs = [rand_reduced(rng.randrange(0, 80), rng) for _ in range(20)]
-        res = solve(inputs, tables)
+        res = solve(inputs)
         for rec in res.table.lambda1.values():
             assert rec.rep is not None
             assert rec.q_to_rep != 0
             if rec.rep is rec:
                 assert rec.q_to_rep >> IDENTITY_COSET & 1
 
-    def test_ops_scale_roughly_linearly(self, tables, rng):
+    def test_ops_scale_roughly_linearly(self, rng):
         def ops_at(total):
             ws = [rand_reduced(500, rng) for _ in range(total // 500)]
-            return solve(ws, tables).ops
+            return solve(ws).ops
 
         small = ops_at(20_000)
         big = ops_at(40_000)
@@ -504,10 +504,10 @@ def key_label(key):
     return tuple(r.word for r in key) if isinstance(key, tuple) else key.word
 
 
-def violated_label(tables, inputs) -> tuple:
+def violated_label(inputs) -> tuple:
     """Solve ``inputs`` the way ``solve`` does, with rows capped at one
     member; returns the row the CapacityViolation names, and the table."""
-    table = ConjTable(tables)
+    table = ConjTable()
     with pytest.raises(CapacityViolation) as err:
         for rec in collect_universe(inputs, table):
             if rec.rep is None:
@@ -528,24 +528,24 @@ class TestCapacityViolation:
         ],
         ids=lambda v: "-".join(v) if isinstance(v, tuple) else None,
     )
-    def test_names_the_row_found(self, tables, monkeypatch, inputs, label):
+    def test_names_the_row_found(self, monkeypatch, inputs, label):
         monkeypatch.setattr(engine, "ROW_CAPACITY", 1)
-        got, table = violated_label(tables, inputs)
+        got, table = violated_label(inputs)
         assert got == label
         assert label in map(key_label, table.lambda2)
 
-    def test_seeded_two_member_rows(self, tables, monkeypatch):
+    def test_seeded_two_member_rows(self, monkeypatch):
         # The two members of a row share the key of their children's
         # classes, so solving just them at capacity 1 must overflow a row.
         rng = random.Random(44)
         kinds = set()
         for _ in range(6):
             inputs = [rand_reduced(rng.randrange(0, 400), rng) for _ in range(rng.randrange(2, 30))]
-            rows = [row for row in solve(inputs, tables).table.rows if len(row) == 2]
+            rows = [row for row in solve(inputs).table.rows if len(row) == 2]
             with monkeypatch.context() as m:
                 m.setattr(engine, "ROW_CAPACITY", 1)
                 for first, second in rows:
-                    label, table = violated_label(tables, [first.word, second.word])
+                    label, table = violated_label([first.word, second.word])
                     assert label in map(key_label, table.lambda2)
                     kinds.add(type(label))
         assert kinds == {tuple, str}

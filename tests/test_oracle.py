@@ -75,7 +75,7 @@ class TestBruteConjugator:
             assert got is not None
             assert equal(u, reduce(inverse(got) + v + got))
 
-    def test_shortlex_minimality(self, tables):
+    def test_shortlex_minimality(self):
         # The returned witness must be the shortlex-first one.
         got = brute_conjugator("aba", "b", 6)
         assert got == "a"
@@ -84,45 +84,45 @@ class TestBruteConjugator:
 
 
 class TestNaiveConjugate:
-    def test_examples(self, tables):
-        assert naive_conjugate("b", "aba", tables)
-        assert not naive_conjugate("b", "c", tables)
-        assert naive_conjugate("dadadad", "dadadad", tables)
+    def test_examples(self):
+        assert naive_conjugate("b", "aba")
+        assert not naive_conjugate("b", "c")
+        assert naive_conjugate("dadadad", "dadadad")
 
-    def test_seed_cross_pairs_all_distinct(self, tables):
+    def test_seed_cross_pairs_all_distinct(self):
         seeds = ["", "a", "b", "c", "d"]
         for u in seeds:
             for v in seeds:
                 expected = u == v
-                assert naive_conjugate(u, v, tables) == expected, (u, v)
+                assert naive_conjugate(u, v) == expected, (u, v)
 
-    def test_identity_only_conjugate_to_identity(self, tables):
-        assert naive_conjugate("adadadad", "", tables)
-        assert not naive_conjugate("dada", "", tables)
+    def test_identity_only_conjugate_to_identity(self):
+        assert naive_conjugate("adadadad", "")
+        assert not naive_conjugate("dada", "")
 
-    def test_agreement_with_engine_and_witness(self, tables, rng):
-        solver = oracle.make_naive_solver(tables)
+    def test_agreement_with_engine_and_witness(self, rng):
+        solver = oracle.make_naive_solver()
         for _ in range(60):
             v = rand_reduced(rng.randrange(0, 20), rng)
             x = rand_reduced(rng.randrange(0, 10), rng)
             u = reduce(inverse(x) + v + x)
             assert solver.q(u, v)
-            assert engine.are_conjugate(u, v, tables)
+            assert engine.are_conjugate(u, v)
 
-    def test_brute_positive_implies_naive(self, tables, rng):
+    def test_brute_positive_implies_naive(self, rng):
         for _ in range(20):
             u = rand_reduced(rng.randrange(0, 8), rng)
             v = rand_reduced(rng.randrange(0, 8), rng)
             witness = brute_conjugator(u, v, 5)
             if witness is not None:
-                assert naive_conjugate(u, v, tables)
+                assert naive_conjugate(u, v)
 
-    def test_ten_thousand_random_pairs_match_engine(self, tables, rng):
+    def test_ten_thousand_random_pairs_match_engine(self, rng):
         # Batch all pair members into one engine table; the naive solver
         # shares one memo.  Agreement must be exact on every pair.
         pool = [rand_reduced(rng.randrange(0, 41), rng) for _ in range(2000)]
-        res = engine.solve(pool, tables)
-        solver = oracle.make_naive_solver(tables)
+        res = engine.solve(pool)
+        solver = oracle.make_naive_solver()
         for _ in range(10_000):
             u = rng.choice(pool)
             v = rng.choice(pool)

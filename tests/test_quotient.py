@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import hashlib
 import random
+import weakref
 
 import pytest
 
@@ -12,6 +14,7 @@ from grigconj.quotient import (
     BuildDivergence,
     ConfigError,
     QuotientTables,
+    base_q,
     build_quotient,
     coset,
     derive_base_q,
@@ -68,7 +71,7 @@ class TestBuild:
         # "q_set": [1, 5, 6, 7] read that numbering.
         assert tables.gen_coset == {"a": 1, "b": 2, "c": 3, "d": 4}
         assert tables.inv == (0, 1, 2, 3, 4, 5, 8, 9, 6, 7, 10, 11, 12, 13, 14, 15)
-        assert tables.base_q == {"": 0xFFFF, "a": 0x5003, "b": 0x001D, "c": 0x001D, "d": 0xCC1D}
+        assert base_q() == {"": 0xFFFF, "a": 0x5003, "b": 0x001D, "c": 0x001D, "d": 0xCC1D}
         # The digest of the JSON dump pins the rest in this numbering: the
         # full mul table, the lift table with its pairs, and the depth.
         assert cli.run(["--json", "quotient-dump"]) == 0
@@ -96,10 +99,10 @@ class TestBuild:
                     frontier.append(y)
         assert len(seen) == 16
 
-    def test_abab_in_kernel(self, tables):
-        assert coset("abab", tables) == IDENTITY_COSET
-        assert coset("", tables) == IDENTITY_COSET
-        assert coset("a", tables) != IDENTITY_COSET
+    def test_abab_in_kernel(self):
+        assert coset("abab") == IDENTITY_COSET
+        assert coset("") == IDENTITY_COSET
+        assert coset("a") != IDENTITY_COSET
 
     def test_generator_cosets_distinct_and_involutive(self, tables):
         cs = [tables.gen_coset[ch] for ch in "abcd"]
@@ -112,9 +115,7 @@ class TestBuild:
         for _ in range(100):
             u = rand_reduced(rng.randrange(0, 30), rng)
             v = rand_reduced(rng.randrange(0, 30), rng)
-            assert coset(reduce(u + v), tables) == tables.mul[coset(u, tables)][
-                coset(v, tables)
-            ]
+            assert coset(reduce(u + v)) == tables.mul[coset(u)][coset(v)]
 
 
 class TestLift:
@@ -133,50 +134,50 @@ class TestLift:
             if a_parity(w):
                 continue
             w0, w1 = phi_pair(w)
-            idx = (coset(w0, tables) << 4) | coset(w1, tables)
-            assert tables.lift[idx] == coset(w, tables)
+            idx = (coset(w0) << 4) | coset(w1)
+            assert tables.lift[idx] == coset(w)
 
     def test_abab_sections_lift_to_kernel(self, tables):
         # psi(abab) = (ca, ac), both sections landing on the kernel pair.
-        idx = (coset("ca", tables) << 4) | coset("ac", tables)
+        idx = (coset("ca") << 4) | coset("ac")
         assert tables.lift[idx] == IDENTITY_COSET
 
 
 class TestSetOps:
-    def test_lift_product_empty(self, tables):
-        assert lift_set_product(0, FULL_MASK, tables) == 0
-        assert lift_set_product(FULL_MASK, 0, tables) == 0
+    def test_lift_product_empty(self):
+        assert lift_set_product(0, FULL_MASK) == 0
+        assert lift_set_product(FULL_MASK, 0) == 0
 
     def test_lift_product_singleton(self, tables):
         ca, cc, cb = (tables.gen_coset[x] for x in "acb")
-        assert lift_set_product(1 << ca, 1 << cc, tables) == 1 << cb
+        assert lift_set_product(1 << ca, 1 << cc) == 1 << cb
 
     def test_lift_product_full_is_range(self, tables):
         rng_mask = 0
         for t in tables.lift:
             if t >= 0:
                 rng_mask |= 1 << t
-        assert lift_set_product(FULL_MASK, FULL_MASK, tables) == rng_mask
+        assert lift_set_product(FULL_MASK, FULL_MASK) == rng_mask
         assert tables.even_cosets == rng_mask
 
     def test_even_cosets_are_the_even_words(self, tables, rng):
         for _ in range(100):
             w = rand_reduced(rng.randrange(0, 20), rng)
-            assert (tables.even_cosets >> coset(w, tables) & 1) == (a_parity(w) == 0)
+            assert (tables.even_cosets >> coset(w) & 1) == (a_parity(w) == 0)
 
     def test_set_mul_inverse_consistency(self, tables, rng):
         for _ in range(50):
             u = rand_reduced(rng.randrange(0, 10), rng)
             v = rand_reduced(rng.randrange(0, 10), rng)
-            cu, cv = coset(u, tables), coset(v, tables)
-            prod = set_mul(1 << cu, 1 << cv, tables)
+            cu, cv = coset(u), coset(v)
+            prod = set_mul(1 << cu, 1 << cv)
             assert prod == 1 << tables.mul[cu][cv]
-            assert set_inv(1 << cu, tables) == 1 << tables.inv[cu]
+            assert set_inv(1 << cu) == 1 << tables.inv[cu]
 
     def test_shift_a(self, tables):
         ca = tables.gen_coset["a"]
-        assert shift_a(1 << IDENTITY_COSET, tables) == 1 << ca
-        assert shift_a(1 << ca, tables) == 1 << IDENTITY_COSET
+        assert shift_a(1 << IDENTITY_COSET) == 1 << ca
+        assert shift_a(1 << ca) == 1 << IDENTITY_COSET
 
     def test_shift_a_matches_the_bit_loop_on_every_mask(self, tables):
         ca = tables.gen_coset["a"]
@@ -185,73 +186,73 @@ class TestSetOps:
             expected = 0
             for g in bits(mask):
                 expected |= image[g]
-            assert shift_a(mask, tables) == expected, mask
+            assert shift_a(mask) == expected, mask
         # Off the Q-set path the keys are not cosets; drop the 65,536.
         shift_a.cache_clear()
 
 
 class TestQFormulas:
-    def test_q_even_all_empty(self, tables):
-        assert q_even(0, 0, 0, 0, tables) == 0
+    def test_q_even_all_empty(self):
+        assert q_even(0, 0, 0, 0) == 0
 
-    def test_q_even_reconstructs_base_d(self, tables):
-        got = q_even(FULL_MASK, tables.base_q["b"], 0, 0, tables)
-        assert got == tables.base_q["d"]
+    def test_q_even_reconstructs_base_d(self):
+        got = q_even(FULL_MASK, base_q()["b"], 0, 0)
+        assert got == base_q()["d"]
 
-    def test_q_even_self_nonempty_for_abab(self, tables):
+    def test_q_even_self_nonempty_for_abab(self):
         # Children of abab are (ca, ac); Q(ca,ca) and Q(ac,ac) both
         # contain the identity, so Q(abab, abab) contains it too.
         from grigconj import engine
 
-        res = engine.solve(["abab"], tables)
+        res = engine.solve(["abab"])
         q = res.q_set("abab", "abab")
         assert q >> IDENTITY_COSET & 1
 
-    def test_q_odd_empty_product(self, tables):
-        assert q_odd_cosets(0, 0, 0, 0, tables) == 0
+    def test_q_odd_empty_product(self):
+        assert q_odd_cosets(0, 0, 0, 0) == 0
 
-    def test_q_odd_reconstructs_base_a(self, tables):
-        assert q_odd_cosets(FULL_MASK, 0, 0, 0, tables) == tables.base_q["a"]
+    def test_q_odd_reconstructs_base_a(self):
+        assert q_odd_cosets(FULL_MASK, 0, 0, 0) == base_q()["a"]
 
     def test_q_odd_ab_ba_nonempty(self, tables):
         # a^-1 (ab) a = ba, so the conjugator coset of a must appear.
         from grigconj import engine
 
-        q = engine.q_set("ab", "ba", tables)
+        q = engine.q_set("ab", "ba")
         assert q
         assert q >> tables.gen_coset["a"] & 1
         assert equal(reduce("a" + "ab" + "a"), "ba")
 
 
 class TestBaseQ:
-    def test_identity_class_is_everything(self, tables):
-        assert tables.base_q[""] == FULL_MASK
+    def test_identity_class_is_everything(self):
+        assert base_q()[""] == FULL_MASK
 
-    def test_identity_coset_in_each(self, tables):
+    def test_identity_coset_in_each(self):
         for w in ("", "a", "b", "c", "d"):
-            assert tables.base_q[w] >> IDENTITY_COSET & 1
+            assert base_q()[w] >> IDENTITY_COSET & 1
 
-    def test_rederivation_is_stable(self, tables):
-        assert derive_base_q(tables) == tables.base_q
+    def test_rederivation_is_stable(self):
+        assert derive_base_q() == base_q()
 
-    def test_centralizer_images_are_subgroups(self, tables):
+    def test_centralizer_images_are_subgroups(self):
         # Q(g, g) is the image of the centralizer, hence closed under
         # the quotient group operations.
         for w in ("", "a", "b", "c", "d"):
-            q = tables.base_q[w]
-            assert set_mul(q, q, tables) == q
-            assert set_inv(q, tables) == q
+            q = base_q()[w]
+            assert set_mul(q, q) == q
+            assert set_inv(q) == q
 
-    def test_every_coset_has_short_witness(self, tables):
+    def test_every_coset_has_short_witness(self):
         # Re-verify the lower half of the sandwich with explicit words.
         from grigconj.words import iter_reduced_words
 
         for g in "abcd":
-            remaining = set(bits(tables.base_q[g]))
+            remaining = set(bits(base_q()[g]))
             for x in iter_reduced_words(8):
                 if not remaining:
                     break
-                cx = coset(x, tables)
+                cx = coset(x)
                 if cx in remaining and equal(reduce(inverse(x) + g + x), g):
                     remaining.discard(cx)
             assert not remaining, f"cosets of Q({g},{g}) without witnesses: {remaining}"
@@ -262,7 +263,7 @@ class TestBaseQ:
             w = rand_reduced(rng.randrange(0, 25), rng)
             x = rand_reduced(rng.randrange(0, 25), rng)
             u = reduce(inverse(x) + w + x)
-            cu, cw = coset(u, tables), coset(w, tables)
+            cu, cw = coset(u), coset(w)
             assert any(
                 tables.mul[tables.mul[tables.inv[t]][cw]][t] == cu for t in range(16)
             )
@@ -280,7 +281,7 @@ class TestGetTables:
 # ---------------------------------------------------------------------------
 # Cached mask operations and the coset invariant that bounds their caches.
 
-# The cached operations of ``quotient``; each takes the tables last.
+# The cached operations of ``quotient``.
 CACHED = (
     "relative",
     "lift_set_product",
@@ -292,18 +293,16 @@ CACHED = (
 )
 
 
-def record_calls(monkeypatch, tables) -> dict:
+def record_calls(monkeypatch) -> dict:
     """Wrap each cached operation in every module that holds it, and
-    return per name the (arguments, result) of each call on ``tables``,
-    hit or miss, the tables left out of the arguments."""
+    return per name the (arguments, result) of each call, hit or miss."""
     calls = {name: [] for name in CACHED}
     for name in CACHED:
         fn = getattr(quotient, name)
 
         def recording(*args, fn=fn, log=calls[name]):
             out = fn(*args)
-            if args[-1] is tables:
-                log.append((args[:-1], out))
+            log.append((args, out))
             return out
 
         for module in (quotient, engine, search, oracle):
@@ -395,9 +394,8 @@ class TestCosetInvariant:
         assert all(h >> IDENTITY_COSET & 1 for h in subgroups)
         assert FULL_MASK in subgroups
 
-    def test_engine_q_sets_and_memos_are_cosets(self, coset_masks, base_table, monkeypatch):
-        fresh = build_quotient()
-        calls = record_calls(monkeypatch, fresh)
+    def test_engine_q_sets_and_memos_are_cosets(self, coset_masks, monkeypatch):
+        calls = record_calls(monkeypatch)
         seen = []
 
         def check(res):
@@ -407,12 +405,12 @@ class TestCosetInvariant:
 
         # The criterion 4 corpus: every reduced word of length <= 6, and
         # planted conjugate pairs of length up to 200.
-        check(engine.solve(list(iter_reduced_words(6)), fresh))
+        check(engine.solve(list(iter_reduced_words(6))))
         rng = random.Random(41)
         for _ in range(1000):
             u = rand_reduced(rng.randrange(0, 201), rng)
             x = rand_reduced(rng.randrange(0, 201), rng)
-            check(engine.solve([u, reduce(inverse(x) + u + x)], fresh))
+            check(engine.solve([u, reduce(inverse(x) + u + x)]))
         # Seeded batches with planted conjugates, and conjugators found on
         # some of those pairs (the search probes the caches with single
         # cosets).
@@ -423,9 +421,9 @@ class TestCosetInvariant:
             for i in rng.sample(range(len(base)), 8):
                 x = rand_reduced(rng.randrange(0, 40), rng)
                 planted.append((base[i], reduce(inverse(x) + base[i] + x)))
-            check(engine.solve(base + [v for _, v in planted], fresh))
+            check(engine.solve(base + [v for _, v in planted]))
             for u, v in planted[:3]:
-                assert search.find_conjugator(u, v, tables=fresh, base=base_table) is not None
+                assert search.find_conjugator(u, v) is not None
         assert len(set(seen)) > 10
 
         # Every mask passed to or returned by a mask operation is a coset,
@@ -450,8 +448,7 @@ class TestCosetInvariant:
 
 
 class TestMemos:
-    def test_memos_match_the_loops_on_miss_and_hit(self, coset_masks):
-        fresh = build_quotient()
+    def test_memos_match_the_loops_on_miss_and_hit(self, tables, coset_masks):
         relative.cache_clear()
         lift_set_product.cache_clear()
         masks = sorted(coset_masks)
@@ -459,19 +456,18 @@ class TestMemos:
         for a in masks:
             for b in masks:
                 expected[a, b] = (
-                    set_mul(set_inv(a, fresh), b, fresh),
-                    lift_product_by_loop(a, b, fresh),
+                    set_mul(set_inv(a), b),
+                    lift_product_by_loop(a, b, tables),
                 )
         for second in (False, True):
             for (a, b), (rel, lift) in expected.items():
-                assert hit(relative, a, b, fresh) == (rel, second)
-                assert hit(lift_set_product, a, b, fresh) == (lift, second)
+                assert hit(relative, a, b) == (rel, second)
+                assert hit(lift_set_product, a, b) == (lift, second)
         for fn in (relative, lift_set_product):
             info = fn.cache_info()
             assert info.misses == info.hits == info.currsize == len(masks) ** 2
 
-    def test_odd_memos_match_the_loops_on_miss_and_hit(self, coset_masks):
-        fresh = build_quotient()
+    def test_odd_memos_match_the_loops_on_miss_and_hit(self, tables, coset_masks):
         direct_term, twisted_term = quotient._q_odd_direct, quotient._q_odd_twisted
         direct_term.cache_clear()
         twisted_term.cache_clear()
@@ -479,33 +475,33 @@ class TestMemos:
         # cv0 and cv1 both take y, so one call reads both caches at one key.
         for second in (False, True):
             for q, x, y in cases:
-                direct, twisted = q_odd_terms_by_loop(q, x, y, y, fresh)
+                direct, twisted = q_odd_terms_by_loop(q, x, y, y, tables)
                 misses = direct_term.cache_info().misses, twisted_term.cache_info().misses
-                assert q_odd_cosets(q, x, y, y, fresh) == direct | twisted
+                assert q_odd_cosets(q, x, y, y) == direct | twisted
                 after = direct_term.cache_info().misses, twisted_term.cache_info().misses
                 assert after == (misses if second else (misses[0] + 1, misses[1] + 1))
-                assert hit(direct_term, q, x, y, fresh) == (direct, True)
-                assert hit(twisted_term, q, x, y, fresh) == (twisted, True)
+                assert hit(direct_term, q, x, y) == (direct, True)
+                assert hit(twisted_term, q, x, y) == (twisted, True)
         for fn in (direct_term, twisted_term):
             assert fn.cache_info().misses == fn.cache_info().currsize == len(cases)
 
-    def test_odd_memos_key_on_the_cosets_each_term_reads(self, coset_masks, rng):
+    def test_odd_memos_key_on_the_cosets_each_term_reads(self, tables, coset_masks, rng):
         # The direct term ignores cv0 and the twisted term ignores cv1, so
         # each memo drops that coset from its key; every other call below
         # hits an entry stored with a different value of the dropped one.
-        fresh = build_quotient()
+        quotient._q_odd_direct.cache_clear()
+        quotient._q_odd_twisted.cache_clear()
         for q in rng.sample(sorted(coset_masks), 8):
             for cu1 in range(16):
                 for cv0 in range(16):
                     for cv1 in range(16):
-                        direct, twisted = q_odd_terms_by_loop(q, cu1, cv0, cv1, fresh)
-                        got = q_odd_cosets(q, cu1, cv0, cv1, fresh)
+                        direct, twisted = q_odd_terms_by_loop(q, cu1, cv0, cv1, tables)
+                        got = q_odd_cosets(q, cu1, cv0, cv1)
                         assert got == direct | twisted, (q, cu1, cv0, cv1)
 
-    def test_memos_are_per_table_and_not_compared(self, tables):
-        # The tables are part of every cache key: a fresh build misses
-        # where the session tables hit.
-        fresh = build_quotient()
+    def test_memos_hit_and_builds_agree(self, tables):
+        # Each cache is keyed on its int arguments only: a repeated call
+        # hits.
         for name, args in (
             ("relative", (0x0003, 0x0005)),
             ("lift_set_product", (0x0003, 0x0005)),
@@ -516,66 +512,84 @@ class TestMemos:
             ("_odd_witness_row", (1, 2)),
         ):
             fn = getattr(quotient, name)
-            session, _ = hit(fn, *args, tables)
-            assert hit(fn, *args, tables) == (session, True), name
-            assert hit(fn, *args, fresh) == (session, False), name
-        # Equality is identity, so two builds are compared field by field;
-        # the only fields are the data, and base_q is computed once.
+            first, _ = hit(fn, *args)
+            assert hit(fn, *args) == (first, True), name
+        # Equality is identity, so a fresh build is compared with the
+        # process's tables field by field; the only fields are the data,
+        # and base_q is computed once.
+        fresh = build_quotient()
         assert fresh != tables
         names = [f.name for f in dataclasses.fields(QuotientTables)]
         assert names == ["mul", "inv", "gen_coset", "lift", "stabilizer_depth", "even_cosets"]
         for name in names:
             assert getattr(fresh, name) == getattr(tables, name), name
-        assert fresh.base_q == tables.base_q
-        assert fresh.base_q is fresh.base_q
+        assert derive_base_q() == base_q()
+        assert base_q() is base_q()
+
+    def test_a_dropped_build_is_freed(self):
+        # The caches hold no build: a build solved with and then dropped
+        # is freed, and a second build-and-solve adds no cache entries.
+        words = list(iter_reduced_words(6))
+        saved = quotient._TABLES
+        sizes = []
+        for _ in range(2):
+            fresh = build_quotient()
+            quotient._TABLES = fresh
+            try:
+                engine.solve(words)
+            finally:
+                quotient._TABLES = saved
+            ref = weakref.ref(fresh)
+            del fresh
+            gc.collect()
+            assert ref() is None
+            sizes.append(relative.cache_info().currsize)
+        assert sizes[1] == sizes[0]
 
 
 class TestWitnessTables:
     """The search's witness tables against the formulas they are read from."""
 
-    def test_even_table_matches_the_formula(self):
-        fresh = build_quotient()
+    def test_even_table_matches_the_formula(self, tables):
         even_witnesses.cache_clear()
         for g in range(16):
-            direct = fresh.even_cosets >> g & 1
+            direct = tables.even_cosets >> g & 1
             expected = []
             for g0 in range(16):
                 for g1 in range(16):
                     m0, m1 = 1 << g0, 1 << g1
-                    q = q_even(m0, m1, 0, 0, fresh) if direct else q_even(0, 0, m0, m1, fresh)
+                    q = q_even(m0, m1, 0, 0) if direct else q_even(0, 0, m0, m1)
                     if q >> g & 1:
                         expected.append((g0, g1))
-            got, second = hit(even_witnesses, g, fresh)
+            got, second = hit(even_witnesses, g)
             assert list(got) == expected and not second, g
             # |L| = 32 pairs over 8 targets per term.
             assert len(got) == 4
-            assert even_witnesses(g, fresh) is got
+            assert even_witnesses(g) is got
         info = even_witnesses.cache_info()
         assert info.hits == info.misses == info.currsize == 16
 
     def test_odd_table_matches_the_formula(self):
-        fresh = build_quotient()
         quotient._odd_witness_row.cache_clear()
         for cu1 in range(16):
             for cv0 in range(16):
                 for cv1 in range(16):
-                    qs = [q_odd_cosets(1 << gp, cu1, cv0, cv1, fresh) for gp in range(16)]
+                    qs = [q_odd_cosets(1 << gp, cu1, cv0, cv1) for gp in range(16)]
                     for g in range(16):
                         expected = sum(1 << gp for gp in range(16) if qs[gp] >> g & 1)
-                        assert odd_witnesses(cu1, cv0, cv1, g, fresh) == expected
+                        assert odd_witnesses(cu1, cv0, cv1, g) == expected
         info = quotient._odd_witness_row.cache_info()
         assert info.misses == info.currsize == 256
         assert info.hits == 16 ** 4 - 256
 
-    def test_memos_stay_within_their_bounds(self, base_table, monkeypatch):
-        fresh = build_quotient()
-        calls = record_calls(monkeypatch, fresh)
+    def test_memos_stay_within_their_bounds(self, monkeypatch):
+        calls = record_calls(monkeypatch)
         rng = random.Random(14)
         for _ in range(30):
             v = rand_reduced(rng.randrange(100, 201), rng)
             x = rand_reduced(rng.randrange(40, 61), rng)
             u = reduce(inverse(x) + v + x)
-            assert search.find_conjugator(u, v, tables=fresh, base=base_table) is not None
+            assert search.find_conjugator(u, v) is not None
         even = dict(calls["even_witnesses"])
         rows = dict(calls["_odd_witness_row"])
         assert 0 < len(even) <= 16

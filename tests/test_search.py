@@ -76,7 +76,7 @@ def _assert_sections(x, x0, x1):
 # A shortest word of each coset.
 _COSET_WORDS = {}
 for _w in iter_reduced_words(4):
-    _COSET_WORDS.setdefault(coset(_w, get_tables()), _w)
+    _COSET_WORDS.setdefault(coset(_w), _w)
 
 
 class TestTau:
@@ -164,22 +164,22 @@ class TestLiftWord:
          # Unreduced sections are reduced first: bb is the identity.
          ("bb", "", ""), ("abb", "cdd", "b"), ("1", "cd", "d")],
     )
-    def test_known_section_pairs(self, tables, x0, x1, known):
-        x = lift_word(x0, x1, tables)
+    def test_known_section_pairs(self, x0, x1, known):
+        x = lift_word(x0, x1)
         assert x == known
 
     @pytest.mark.parametrize("x0,x1", [("xa", ""), ("", "abe"), ("a b", "c")])
-    def test_rejects_other_letters(self, tables, x0, x1):
+    def test_rejects_other_letters(self, x0, x1):
         with pytest.raises(InvalidCharacter):
-            lift_word(x0, x1, tables)
+            lift_word(x0, x1)
 
-    def test_sections_roundtrip_random(self, tables, rng):
+    def test_sections_roundtrip_random(self, rng):
         for _ in range(60):
             x = rand_reduced(rng.randrange(0, 40), rng)
             if a_parity(x):
                 continue
             x0, x1 = phi_pair(x)
-            y = lift_word(x0, x1, tables)
+            y = lift_word(x0, x1)
             y0, y1 = phi_pair(y)
             assert equal(y0, x0) and equal(y1, x1)
             assert len(y) <= 2 * (len(x0) + len(x1)) + 10
@@ -189,14 +189,14 @@ class TestLiftWord:
         bad = None
         for u in iter_reduced_words(2):
             for v in iter_reduced_words(2):
-                if tables.lift[(coset(u, tables) << 4) | coset(v, tables)] < 0:
+                if tables.lift[(coset(u) << 4) | coset(v)] < 0:
                     bad = (u, v)
                     break
             if bad:
                 break
         assert bad is not None
         with pytest.raises(NotLiftable):
-            lift_word(bad[0], bad[1], tables)
+            lift_word(bad[0], bad[1])
 
     @pytest.mark.parametrize("mutant", list(_LIFT_MUTANTS))
     def test_residual_check_catches_broken_lifts(self, tables, rng, monkeypatch, mutant):
@@ -206,8 +206,8 @@ class TestLiftWord:
         while len(pairs) < 40:
             x0 = rand_reduced(rng.randrange(0, 30), rng)
             x1 = rand_reduced(rng.randrange(0, 30), rng)
-            if tables.lift[(coset(x0, tables) << 4) | coset(x1, tables)] >= 0:
-                pairs.append((x0, x1, lift_word(x0, x1, tables)))
+            if tables.lift[(coset(x0) << 4) | coset(x1)] >= 0:
+                pairs.append((x0, x1, lift_word(x0, x1)))
         _patch_mutant(monkeypatch, mutant)
         built = []
         sections = search_mod.phi_pair
@@ -215,7 +215,7 @@ class TestLiftWord:
         caught = 0
         for x0, x1, good in pairs:
             try:
-                x = lift_word(x0, x1, tables)
+                x = lift_word(x0, x1)
             except LiftResidual:
                 assert built[-1] != good
                 caught += 1
@@ -223,25 +223,26 @@ class TestLiftWord:
                 assert x == good
         assert caught >= len(pairs) * 3 // 4
 
-    def test_even_output(self, tables, rng):
+    def test_even_output(self, rng):
         for _ in range(30):
             x = rand_reduced(2 * rng.randrange(0, 15), rng)
             if a_parity(x):
                 continue
             x0, x1 = phi_pair(x)
-            assert a_parity(lift_word(x0, x1, tables)) == 0
+            assert a_parity(lift_word(x0, x1)) == 0
 
 
 # What the searcher no longer checks on each lift: the sections of
 # _lift(x0, x1, c0, c1) equal (x0, x1) in the group.
 
-def _lift_in_every_pair(w0, w1, tables):
+def _lift_in_every_pair(w0, w1):
     # Move w0 and w1 into each liftable coset pair by a short suffix.
+    tables = get_tables()
     mul, inv = tables.mul, tables.inv
     for c0, c1 in tables.pairs:
-        x0 = product(w0, _COSET_WORDS[mul[inv[coset(w0, tables)]][c0]])
-        x1 = product(w1, _COSET_WORDS[mul[inv[coset(w1, tables)]][c1]])
-        _assert_sections(search_mod._lift(x0, x1, c0, c1, tables), x0, x1)
+        x0 = product(w0, _COSET_WORDS[mul[inv[coset(w0)]][c0]])
+        x1 = product(w1, _COSET_WORDS[mul[inv[coset(w1)]][c1]])
+        _assert_sections(search_mod._lift(x0, x1, c0, c1), x0, x1)
 
 
 _DIHEDRAL_HEAVY = st.lists(st.sampled_from("adadadadbc"), max_size=60).map("".join).map(reduce)
@@ -249,34 +250,34 @@ _DIHEDRAL_HEAVY = st.lists(st.sampled_from("adadadadbc"), max_size=60).map("".jo
 
 @given(st.text(alphabet="abcd", max_size=60).map(reduce),
        st.text(alphabet="abcd", max_size=60).map(reduce))
-def test_lift_sections_random(tables, w0, w1):
-    _lift_in_every_pair(w0, w1, tables)
+def test_lift_sections_random(w0, w1):
+    _lift_in_every_pair(w0, w1)
 
 
 @given(_DIHEDRAL_HEAVY, _DIHEDRAL_HEAVY)
-def test_lift_sections_dihedral(tables, w0, w1):
-    _lift_in_every_pair(w0, w1, tables)
+def test_lift_sections_dihedral(w0, w1):
+    _lift_in_every_pair(w0, w1)
 
 
-def test_lift_sections_of_the_searcher(tables, base_table, monkeypatch):
+def test_lift_sections_of_the_searcher(monkeypatch):
     lifts = []
     lift = search_mod._lift
 
-    def recording(x0, x1, c0, c1, t):
-        x = lift(x0, x1, c0, c1, t)
+    def recording(x0, x1, c0, c1):
+        x = lift(x0, x1, c0, c1)
         lifts.append((x, x0, x1))
         return x
 
     monkeypatch.setattr(search_mod, "_lift", recording)
     for u, v in _planted_above_base(12, random.Random(5)):
-        find_conjugator(u, v, tables=tables, base=base_table)
+        find_conjugator(u, v)
     assert len(lifts) > 50
     for x, x0, x1 in lifts:
         _assert_sections(x, x0, x1)
 
 
 @pytest.mark.parametrize("mutant", list(_LIFT_MUTANTS))
-def test_lift_section_tests_fail_every_mutant(tables, base_table, monkeypatch, mutant):
+def test_lift_section_tests_fail_every_mutant(monkeypatch, mutant):
     # The two property tests' body on seeded draws of their kinds of
     # sections, then the searcher's lifts.
     rng = random.Random(9)
@@ -285,9 +286,9 @@ def test_lift_section_tests_fail_every_mutant(tables, base_table, monkeypatch, m
         with pytest.raises(AssertionError):
             for _ in range(20):
                 w0, w1 = (reduce("".join(rng.choices(letters, k=40))) for _ in range(2))
-                _lift_in_every_pair(w0, w1, tables)
+                _lift_in_every_pair(w0, w1)
     with pytest.raises(AssertionError):
-        test_lift_sections_of_the_searcher(tables, base_table, monkeypatch)
+        test_lift_sections_of_the_searcher(monkeypatch)
 
 
 class TestFailurePath:
@@ -298,14 +299,14 @@ class TestFailurePath:
                        r"\(u, v, g\) = \('([abcd]*)', '([abcd]*)', (\d+)\): ")
 
     @pytest.mark.parametrize("mutant", list(_LIFT_MUTANTS))
-    def test_error_names_the_level(self, tables, base_table, monkeypatch, mutant):
+    def test_error_names_the_level(self, monkeypatch, mutant):
         pairs = _planted_above_base(12, random.Random(3))
-        good = [find_conjugator(u, v, tables=tables, base=base_table) for u, v in pairs]
+        good = [find_conjugator(u, v) for u, v in pairs]
         _patch_mutant(monkeypatch, mutant)
         caught = 0
         for (u, v), x in zip(pairs, good):
             try:
-                got = find_conjugator(u, v, tables=tables, base=base_table)
+                got = find_conjugator(u, v)
             except AssertionError as exc:
                 err = str(exc)
             else:
@@ -317,7 +318,7 @@ class TestFailurePath:
             assert m, err
             level, su, sv, sg = int(m[1]), m[2], m[3], int(m[4])
             # The named slot is one the search of this pair visits.
-            solved = engine.solve([u, v], tables)
+            solved = engine.solve([u, v])
             assert su in solved.table.lambda1 and sv in solved.table.lambda1
             assert solved.q_set(su, sv) >> sg & 1
             assert (level == 0) == (su == u and sv == v)
@@ -328,7 +329,7 @@ class TestFailurePath:
         [(0, "even_witnesses", (), "no section cosets produce"),
          (1, "odd_witnesses", 0, "no product coset produces")],
     )
-    def test_no_witness_is_reported(self, tables, base_table, monkeypatch, parity, table, empty, text):
+    def test_no_witness_is_reported(self, monkeypatch, parity, table, empty, text):
         # With an empty witness table the top level of a pair above the
         # base table has nothing to lift.
         rng = random.Random(3)
@@ -336,21 +337,21 @@ class TestFailurePath:
             (u, v), = _planted_above_base(1, rng)
             if a_parity(v) == parity:
                 break
-        g = mask_cosets(engine.q_set(u, v, tables))[0]
+        g = mask_cosets(engine.q_set(u, v))[0]
         monkeypatch.setattr(search_mod, table, lambda *args: empty)
         with pytest.raises(AssertionError) as info:
-            find_conjugator(u, v, g, tables=tables, base=base_table)
+            find_conjugator(u, v, g)
         assert str(info.value) == (
             f"conjugator search broke at level 0, (u, v, g) = ({u!r}, {v!r}, {g}): "
             f"{text} {g} for ({u!r}, {v!r})"
         )
 
-    def test_rerun_that_passes_names_the_call(self, tables, base_table, monkeypatch):
+    def test_rerun_that_passes_names_the_call(self, monkeypatch):
         # Only the first check fails: the re-run with every level checked
         # passes, so the error names the call's own slot at level 0, with
         # the first check's fault, and no conjugator is returned.
         (u, v), = _planted_above_base(1, random.Random(3))
-        g = mask_cosets(engine.solve([u, v], tables).q_set(u, v))[0]
+        g = mask_cosets(engine.solve([u, v]).q_set(u, v))[0]
         verify, calls = search_mod._verify, []
 
         def fail_first(*args):
@@ -361,7 +362,7 @@ class TestFailurePath:
 
         monkeypatch.setattr(search_mod, "_verify", fail_first)
         with pytest.raises(AssertionError) as info:
-            find_conjugator(u, v, tables=tables, base=base_table)
+            find_conjugator(u, v)
         assert str(info.value) == (
             f"conjugator search broke at level 0, (u, v, g) = ({u!r}, {v!r}, {g}): "
             "first check fails"
@@ -382,7 +383,7 @@ class TestFailurePath:
 
 
 class TestBaseConjTable:
-    def test_identity_slots(self, tables, base_table):
+    def test_identity_slots(self, base_table):
         from grigconj.words import norm9_universe
 
         for w in norm9_universe():
@@ -391,52 +392,52 @@ class TestBaseConjTable:
     def test_explicit_witness(self, tables, base_table):
         assert base_table[("aba", "b", tables.gen_coset["a"])] == "a"
 
-    def test_slot_count_matches_engine_q_sets(self, tables, base_table):
+    def test_slot_count_matches_engine_q_sets(self, base_table):
         from grigconj.words import norm9_universe
 
         universe = norm9_universe()
-        res = engine.solve(universe, tables)
+        res = engine.solve(universe)
         expected = 0
         for u in universe:
             for v in universe:
                 expected += bin(res.q_set(u, v)).count("1")
         assert len(base_table) == expected
 
-    def test_every_slot_verifies(self, tables, base_table):
+    def test_every_slot_verifies(self, base_table):
         for (u, v, g), x in base_table.items():
-            assert coset(x, tables) == g
+            assert coset(x) == g
             assert equal(u, reduce(inverse(x) + v + x))
 
 
 class TestFindConjugator:
-    def test_example_pair(self, tables, base_table):
-        x = find_conjugator("aba", "b", tables=tables, base=base_table)
+    def test_example_pair(self):
+        x = find_conjugator("aba", "b")
         assert x is not None
         assert equal("aba", reduce(inverse(x) + "b" + x))
 
-    def test_non_conjugate_returns_none(self, tables, base_table):
-        assert find_conjugator("b", "c", tables=tables, base=base_table) is None
+    def test_non_conjugate_returns_none(self):
+        assert find_conjugator("b", "c") is None
 
-    def test_g_outside_q_returns_none(self, tables, base_table):
-        q = engine.q_set("b", "b", tables)
+    def test_g_outside_q_returns_none(self):
+        q = engine.q_set("b", "b")
         missing = next(g for g in range(16) if not q >> g & 1)
-        assert find_conjugator("b", "b", missing, tables=tables, base=base_table) is None
+        assert find_conjugator("b", "b", missing) is None
 
     @pytest.mark.parametrize("g", [-1, 16, 1.5, 5.0, "3", True])
-    def test_g_outside_coset_ids_raises(self, tables, base_table, g):
+    def test_g_outside_coset_ids_raises(self, g):
         with pytest.raises(ValueError, match="g must be a coset id in 0..15"):
-            find_conjugator("aba", "b", g, tables=tables, base=base_table)
+            find_conjugator("aba", "b", g)
 
-    def test_random_roundtrips_verify(self, tables, base_table, rng):
+    def test_random_roundtrips_verify(self, rng):
         for _ in range(40):
             v = rand_reduced(rng.randrange(0, 40), rng)
             x = rand_reduced(rng.randrange(0, 40), rng)
             u = reduce(inverse(x) + v + x)
-            got = find_conjugator(u, v, tables=tables, base=base_table)
+            got = find_conjugator(u, v)
             assert got is not None
             assert equal(u, reduce(inverse(got) + v + got))
 
-    def test_coset_targeting(self, tables, base_table, rng):
+    def test_coset_targeting(self, rng):
         # Every coset of Q(u, v), on pairs whose top words are above the
         # base table, for both a-parities: the search picks the term of
         # the Q formula by the parity of the target coset.
@@ -449,22 +450,22 @@ class TestFindConjugator:
             if norm(u) < 9 or norm(v) < 9 or pairs[a_parity(v)] >= 6:
                 continue
             pairs[a_parity(v)] += 1
-            q = engine.q_set(u, v, tables)
+            q = engine.q_set(u, v)
             for g in range(16):
                 if q >> g & 1:
-                    got = find_conjugator(u, v, g, tables=tables, base=base_table)
+                    got = find_conjugator(u, v, g)
                     assert got is not None
-                    assert coset(got, tables) == g
+                    assert coset(got) == g
                     assert equal(u, reduce(inverse(got) + v + got))
                     seen.add((a_parity(v), a_parity(got)))
         assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
-    def test_identity_pairs(self, tables, base_table):
-        got = find_conjugator("adadadad", "", tables=tables, base=base_table)
+    def test_identity_pairs(self):
+        got = find_conjugator("adadadad", "")
         assert got is not None
         assert equal("adadadad", reduce(inverse(got) + got))
 
-    def test_slow_contracting_power_families(self, tables, base_table, rng):
+    def test_slow_contracting_power_families(self, rng):
         # Periodic words keep their norm longest under splitting; their
         # recursions go deepest before reaching the tabulated base.
         for base in ("ab", "ad", "abad", "abacad"):
@@ -472,13 +473,13 @@ class TestFindConjugator:
                 v = reduce(base * k)
                 x = rand_reduced(rng.randrange(0, 30), rng)
                 u = reduce(inverse(x) + v + x)
-                got = find_conjugator(u, v, tables=tables, base=base_table)
+                got = find_conjugator(u, v)
                 assert got is not None
                 assert equal(u, reduce(inverse(got) + v + got))
 
 
 class TestConjugatorBytes:
-    def test_every_coset_of_a_planted_corpus(self, tables, base_table):
+    def test_every_coset_of_a_planted_corpus(self):
         # Conjugators for every coset of Q(u, v), pinned byte for byte: a
         # change to the witness order or the tie-break shows here.
         rng = random.Random(14)
@@ -487,8 +488,8 @@ class TestConjugatorBytes:
             v = rand_reduced(rng.randrange(100, 201), rng)
             x = rand_reduced(rng.randrange(40, 61), rng)
             u = reduce(inverse(x) + v + x)
-            for g in mask_cosets(engine.q_set(u, v, tables)):
-                out.append(find_conjugator(u, v, g, tables=tables, base=base_table))
+            for g in mask_cosets(engine.q_set(u, v)):
+                out.append(find_conjugator(u, v, g))
         assert len(out) == 93
         assert sum(map(len, out)) == 85332
         assert hashlib.sha256("\n".join(out).encode()).hexdigest() == (
@@ -510,14 +511,14 @@ class TestSearchMemo:
         monkeypatch.setattr(search_mod, "_Searcher", Recording)
         return made
 
-    def test_keys_bounded_by_the_solve(self, tables, base_table, searchers):
+    def test_keys_bounded_by_the_solve(self, searchers):
         rng = random.Random(11)
         for _ in range(20):
             v = rand_reduced(rng.randrange(20, 80), rng)
             x = rand_reduced(rng.randrange(0, 40), rng)
             u = reduce(inverse(x) + v + x)
-            got = find_conjugator(u, v, tables=tables, base=base_table)
-            assert got == find_conjugator(u, v, tables=tables, base=base_table)
+            got = find_conjugator(u, v)
+            assert got == find_conjugator(u, v)
             assert equal(u, reduce(inverse(got) + v + got))
         assert len(searchers) == 40
         assert len({id(memo) for _, memo, _ in searchers}) == 40
@@ -528,21 +529,21 @@ class TestSearchMemo:
                 assert u1 in lambda1 and v1 in lambda1 and 0 <= g < 16
             assert len(memo) <= len(lambda1) ** 2 * 16
 
-    def test_base_table_answers_unchanged(self, tables, base_table):
+    def test_base_table_answers_unchanged(self, base_table):
         for (u, v, g), x in list(base_table.items())[::7]:
-            assert find_conjugator(u, v, g, tables=tables, base=base_table) == x
+            assert find_conjugator(u, v, g) == x
 
 
 class TestBaseTableCompleteness:
-    def test_rebuild_with_tight_cap_is_complete(self, tables):
+    def test_rebuild_with_tight_cap_is_complete(self):
         # The standard build must not be anywhere near its length cap.
-        table = build_base_conj_table(tables, max_len=12)
+        table = build_base_conj_table(max_len=12)
         assert len(table) > 0
 
-    def test_unreachable_cap_is_reported(self, tables):
+    def test_unreachable_cap_is_reported(self):
         # Length-1 witnesses cannot cover every slot.
         with pytest.raises(search_mod.BaseIncomplete):
-            build_base_conj_table(tables, max_len=1)
+            build_base_conj_table(max_len=1)
 
 
     def test_insertion_order_is_independent_of_the_hash_seed(self):
