@@ -11,10 +11,10 @@ records, and reads the witness cosets of each level from the tables
 the stored Q-sets of the sections or of the product word.  Of all the
 witnesses at a level it lifts the one whose sub-conjugators are
 shortest; a memo on (u, v, coset) that lives for one ``find_conjugator``
-call finds each sub-conjugator once.  The recursion
-bottoms out in the finite universe of words of norm < 9, whose
-conjugators are tabulated once by brute force in a plain dict keyed on
-(u, v, coset).
+call finds each sub-conjugator once.  The recursion bottoms out in the
+finite universe of words of norm < 9, whose conjugators come from a
+brute-force table keyed on (u, v, coset); it fills the slots of one
+word v at a time, on the first lookup that names v.
 
 Checks.  One searcher class runs every search.  It asserts only two cheap
 bounds as it goes: the length of each lift and the length recurrence of
@@ -163,65 +163,86 @@ def _check_lift(x0: str, x1: str, x: str) -> None:
 # ---------------------------------------------------------------------------
 # Base conjugator table over the norm < 9 universe.
 
-def build_base_conj_table(max_len: int = 24) -> dict:
-    """Explicit conjugators ``{(u, v, g): x}`` for every slot with both
-    words in the norm < 9 universe and coset g in Q(u, v), filled by
-    shortlex-increasing witness search.
-
-    The norm < 9 word set is closed under splitting, so the search
-    recursion can only bottom out inside it.  For each word v, candidates
-    x are enumerated once; red(x^-1 v x) either literally is a universe
-    word (filling that slot) or is group-equal to one of the few words in
-    v's conjugacy class, checked only while those slots remain open.
-    """
+def _base_words() -> dict:
+    """Each word v of the norm < 9 universe, class by class in universe
+    order, mapped to (v's class, the solve of the universe)."""
     universe = norm9_universe()
     solved = engine.solve(universe)
-
     classes: dict = {}
     for w in universe:
         classes.setdefault(solved.representative(w), []).append(w)
+    return {v: (members, solved) for members in classes.values() for v in members}
 
+
+def _fill_word(v: str, members: list, solved, slots: dict, max_len: int = 24) -> None:
+    """Fill into ``slots`` each slot (u, v, g) of the word v, for u in its
+    class ``members`` and g in Q(u, v): the first x in shortlex order in
+    coset g with red(x^-1 v x) equal to u, literally or in the group."""
+    # The open slots of v by coset, each an insertion-ordered dict of
+    # words, so the slots fill in the same order in every run.
+    by_coset: dict = {}
+    for u in members:
+        for g in mask_cosets(solved.q_set(u, v)):
+            by_coset.setdefault(g, {})[u] = None
+    for x in iter_reduced_words(max_len):
+        if not by_coset:
+            break
+        cx = coset(x)
+        candidates = by_coset.get(cx)
+        if not candidates:
+            continue
+        y = product(product(inverse(x), v), x)
+        hits = [u for u in candidates if u == y or equal(u, y)]
+        for u in hits:
+            slots[(u, v, cx)] = x
+            del candidates[u]
+        if not candidates:
+            del by_coset[cx]
+    if by_coset:
+        raise BaseIncomplete(
+            f"slots for {v!r} unwitnessed at length {max_len}: {sorted(by_coset)}"
+        )
+
+
+def build_base_conj_table(max_len: int = 24) -> dict:
+    """Explicit conjugators ``{(u, v, g): x}`` for every slot with both
+    words in the norm < 9 universe and coset g in Q(u, v), word v by word v
+    into a fresh dict; ``get_base_table`` fills the same values on first
+    use.  The norm < 9 word set is closed under splitting, so the search
+    recursion can only bottom out inside it."""
     slots: dict = {}
-    for members in classes.values():
-        for v in members:
-            # The open slots of v by coset, each an insertion-ordered dict
-            # of words, so the slots fill in the same order in every run.
-            by_coset: dict = {}
-            for u in members:
-                for g in mask_cosets(solved.q_set(u, v)):
-                    by_coset.setdefault(g, {})[u] = None
-            for x in iter_reduced_words(max_len):
-                if not by_coset:
-                    break
-                cx = coset(x)
-                candidates = by_coset.get(cx)
-                if not candidates:
-                    continue
-                y = product(product(inverse(x), v), x)
-                hits = [u for u in candidates if u == y or equal(u, y)]
-                for u in hits:
-                    slots[(u, v, cx)] = x
-                    del candidates[u]
-                if not candidates:
-                    del by_coset[cx]
-            if by_coset:
-                raise BaseIncomplete(
-                    f"slots for {v!r} unwitnessed at length {max_len}: {sorted(by_coset)}"
-                )
+    for v, job in _base_words().items():
+        _fill_word(v, *job, slots, max_len)
     return slots
 
 
-_BASE: dict | None = None
+class _BaseTable(dict):
+    """A dict whose first miss on a key (u, v, g) fills v's slots, under
+    ``_BASE_LOCK``; the universe is solved on the first miss of all.  A
+    key still missing once v is filled raises ``KeyError``."""
+
+    _open: dict | None = None  # the ``_base_words`` not yet filled
+
+    def __missing__(self, key):
+        with _BASE_LOCK:
+            if self._open is None:
+                self._open = _base_words()
+            job = self._open.get(key[1])
+            if job is not None:
+                _fill_word(key[1], *job, self)
+                del self._open[key[1]]
+        if key not in self:
+            raise KeyError(key)
+        return self.get(key)
+
+
 _BASE_LOCK = threading.Lock()
+_BASE = _BaseTable()
 
 
 def get_base_table() -> dict:
-    """Process-wide base table, built once, on first use, by one thread."""
-    global _BASE
-    if _BASE is None:
-        with _BASE_LOCK:
-            if _BASE is None:
-                _BASE = build_base_conj_table()
+    """The process-wide base table: empty at first, it fills each word v's
+    slots once, by one thread, when a lookup first names v."""
     return _BASE
 
 
@@ -276,7 +297,10 @@ class _Searcher:
         t = self.t
         # Norm < 9 needs at most 12 letters, each weighing over 0.7.
         if len(u) < 13 and len(v) < 13 and norm(u) < 9.0 and norm(v) < 9.0:
-            return self.base[(u, v, g)]
+            try:
+                return self.base[(u, v, g)]
+            except KeyError:
+                raise AssertionError(f"no base-table slot ({u!r}, {v!r}, {g})") from None
         ru, rv = self.solved.record(u), self.solved.record(v)
         if ru.even != rv.even:
             raise AssertionError("mismatched parities cannot be conjugate")

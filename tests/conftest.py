@@ -16,7 +16,9 @@ def tables():
 
 @pytest.fixture(scope="session")
 def base_table():
-    return search.get_base_table()
+    # The full fill, so a test sees all 2928 slots whatever ran before it;
+    # the process-wide table holds only the words looked up so far.
+    return search.build_base_conj_table()
 
 
 def rand_reduced(length: int, rng: random.Random) -> str:
@@ -39,23 +41,9 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
-def get_from_threads(monkeypatch, module, cache_name, builder_name, getter, threads=4):
-    """Call ``getter`` from ``threads`` threads at once, with
-    ``module.cache_name`` unset and ``module.builder_name`` replaced by a
-    slow build that counts its calls.
-
-    Returns (number of builds, the results, the built object).
-    """
-    built = object()
-    builds = []
-
-    def slow_build():
-        builds.append(threading.get_ident())
-        time.sleep(0.05)
-        return built
-
-    monkeypatch.setattr(module, cache_name, None)
-    monkeypatch.setattr(module, builder_name, slow_build)
+def run_in_threads(getter, threads=4):
+    """Call ``getter`` from ``threads`` threads released at once, with a
+    short switch interval; returns their results."""
     start = threading.Barrier(threads)
     results = [None] * threads
 
@@ -74,4 +62,25 @@ def get_from_threads(monkeypatch, module, cache_name, builder_name, getter, thre
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in workers)
+    return results
+
+
+def get_from_threads(monkeypatch, module, cache_name, builder_name, getter, threads=4):
+    """Call ``getter`` from ``threads`` threads at once, with
+    ``module.cache_name`` unset and ``module.builder_name`` replaced by a
+    slow build that counts its calls.
+
+    Returns (number of builds, the results, the built object).
+    """
+    built = object()
+    builds = []
+
+    def slow_build():
+        builds.append(threading.get_ident())
+        time.sleep(0.05)
+        return built
+
+    monkeypatch.setattr(module, cache_name, None)
+    monkeypatch.setattr(module, builder_name, slow_build)
+    results = run_in_threads(getter, threads)
     return len(builds), results, built

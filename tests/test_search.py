@@ -4,13 +4,14 @@ import random
 import re
 import subprocess
 import sys
+import time
 import weakref
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import get_from_threads, rand_reduced
+from conftest import rand_reduced, run_in_threads
 import grigconj
 from grigconj import cli, engine
 from grigconj import search as search_mod
@@ -32,6 +33,7 @@ from grigconj.words import (
     inverse,
     iter_reduced_words,
     norm,
+    norm9_universe,
     phi_pair,
     product,
     reduce,
@@ -66,6 +68,31 @@ def _planted_above_base(count, rng):
         if norm(u) >= 9 and norm(v) >= 9:
             pairs.append((u, v))
     return pairs
+
+
+def _digest(items):
+    return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
+
+
+def _recording_searchers(monkeypatch):
+    """Every searcher ``find_conjugator`` creates from now on, in order."""
+    made = []
+
+    class Recording(search_mod._Searcher):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(search_mod, "_Searcher", Recording)
+    return made
+
+
+@pytest.fixture
+def fresh_base(monkeypatch):
+    """An empty process-wide base table for one test."""
+    table = search_mod._BaseTable()
+    monkeypatch.setattr(search_mod, "_BASE", table)
+    return table
 
 
 def _assert_sections(x, x0, x1):
@@ -346,6 +373,26 @@ class TestFailurePath:
             f"{text} {g} for ({u!r}, {v!r})"
         )
 
+    def test_missing_base_slot_is_named(self, monkeypatch, capsys, fresh_base):
+        # A slot taken out after its word is filled: the search and its
+        # checked re-run both stop there, and the error names it.
+        (u, v), = _planted_above_base(1, random.Random(3))
+        searchers = _recording_searchers(monkeypatch)
+        assert find_conjugator(u, v) is not None
+        key = next(k for k in reversed(list(searchers[-1].memo)) if k in fresh_base)
+        monkeypatch.delitem(fresh_base, key)
+        with pytest.raises(AssertionError) as info:
+            find_conjugator(u, v)
+        err = str(info.value)
+        m = self.LEVEL.match(err)
+        assert m, err
+        assert int(m[1]) >= 1 and (m[2], m[3], int(m[4])) == key
+        assert err.endswith(f"no base-table slot ({key[0]!r}, {key[1]!r}, {key[2]})")
+        assert cli.run(["conjugator", u, v]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: internal: AssertionError: conjugator search broke at level ")
+
     def test_rerun_that_passes_names_the_call(self, monkeypatch):
         # Only the first check fails: the re-run with every level checked
         # passes, so the error names the call's own slot at level 0, with
@@ -552,8 +599,8 @@ class TestBaseTableCompleteness:
         src = os.path.dirname(os.path.dirname(grigconj.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = (
-            "import hashlib; from grigconj.search import get_base_table; "
-            "print(hashlib.sha256(repr(list(get_base_table().items())).encode()).hexdigest())"
+            "import hashlib; from grigconj.search import build_base_conj_table; "
+            "print(hashlib.sha256(repr(list(build_base_conj_table().items())).encode()).hexdigest())"
         )
         digests = set()
         for seed in ("0", "1"):
@@ -568,9 +615,79 @@ class TestBaseTableCompleteness:
 
 
 class TestGetBaseTable:
-    def test_concurrent_callers_build_once(self, monkeypatch):
-        builds, results, built = get_from_threads(
-            monkeypatch, search_mod, "_BASE", "build_base_conj_table", search_mod.get_base_table
+    def test_concurrent_callers_build_once(self, monkeypatch, fresh_base, base_table):
+        # Four threads miss on the same word v at once: v's slots are
+        # filled by one of them, and every caller gets the same table.
+        fills = []
+        fill = search_mod._fill_word
+
+        def slow_fill(v, *args):
+            fills.append(v)
+            time.sleep(0.05)
+            fill(v, *args)
+
+        monkeypatch.setattr(search_mod, "_fill_word", slow_fill)
+        key = ("aba", "b", get_tables().gen_coset["a"])
+
+        def lookup():
+            table = search_mod.get_base_table()
+            return table, table[key]
+
+        results = run_in_threads(lookup)
+        assert fills == ["b"]
+        assert all(table is fresh_base for table, _ in results)
+        assert [x for _, x in results] == [base_table[key]] * 4
+        assert fresh_base == {k: x for k, x in base_table.items() if k[1] == "b"}
+
+
+class TestOnDemandBaseTable:
+    def test_solves_leave_it_empty_in_a_fresh_process(self):
+        src = os.path.dirname(os.path.dirname(grigconj.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import grigconj; from grigconj import search\n"
+            "grigconj.solve(['aba', 'b', 'abacabad'])\n"
+            "assert grigconj.are_conjugate('aba', 'b')\n"
+            "grigconj.conjugate_pairs(['aba', 'b', 'c'])\n"
+            "print(len(search.get_base_table()), search._BASE._open is None)"
         )
-        assert builds == 1
-        assert all(r is built for r in results)
+        env = dict(os.environ, PYTHONPATH=path)
+        env.pop("GRIG_MAX_DEPTH", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 True\n"
+
+    def test_a_base_pair_fills_only_its_word(self, fresh_base, base_table):
+        assert find_conjugator("aba", "b") == "a"
+        assert fresh_base == {k: x for k, x in base_table.items() if k[1] == "b"}
+
+    def test_a_search_fills_only_the_words_it_names(self, monkeypatch, fresh_base, base_table):
+        searchers = _recording_searchers(monkeypatch)
+        named = set()
+        for u, v in _planted_above_base(4, random.Random(5)):
+            assert find_conjugator(u, v) is not None
+            # The memo keys in the base table are the slots the search read.
+            named |= {key[1] for key in searchers[-1].memo if key in base_table}
+        assert named
+        assert {v for _, v, _ in fresh_base} == named
+        assert fresh_base == {k: x for k, x in base_table.items() if k[1] in named}
+
+    def test_every_word_filled_equals_the_full_table(self, fresh_base, base_table):
+        for v in norm9_universe():
+            assert fresh_base[(v, v, IDENTITY_COSET)] == ""
+        assert fresh_base == base_table
+        assert len(fresh_base) == 2928
+        assert _digest(sorted(fresh_base.items())) == "d734e5771c179574"
+
+    def test_full_table_keeps_its_insertion_order(self, base_table):
+        assert _digest(list(base_table.items())) == "5d3d96b151b35a82"
+
+    def test_missing_key_raises_key_error(self, fresh_base):
+        g = next(g for g in range(16) if not engine.q_set("b", "b") >> g & 1)
+        with pytest.raises(KeyError):
+            fresh_base[("b", "b", g)]
+        assert ("b", "b", IDENTITY_COSET) in fresh_base
+        with pytest.raises(KeyError):
+            fresh_base[("b", "not a universe word", IDENTITY_COSET)]
