@@ -8,17 +8,22 @@ combined input length: the universe is linear by the tree-size bounds,
 each word costs a constant number of bounded Q-set operations per row
 member, and no row ever holds more than 256 members.
 
-Every universe word has a record, linked to its children's records as
-it is split.  A row is keyed by the representative records of a word's
-children: the single record (w0·w1)* for a word with odd a-count, the
-pair (w0*, w1*) otherwise, put in the order of their words so that a
-conjugator that swaps the sections finds the same row.  A record key and
-a tuple key never compare equal.  ``lambda2`` maps each row key to the
-row's member records, a plain list.  Within a row, members are pairwise
-non-conjugate; the first member found conjugate to a new word becomes
-its representative.  A word is processed once it has a representative
-(``rep`` is set).  The five seed words ``1, a, b, c, d`` are split the
-same way and open the first five rows, one each.
+The universe is collected one splitting-tree level at a time: the words
+first seen on a level are split together by one ``words.split_level``
+call, and the new words among their children make up the next level.
+The walk order decides nothing downstream, since the universe is then
+processed in shortlex order.  Every universe word has a record, linked
+to its children's records as it is split.  A row is keyed by the
+representative records of a word's children: the single record
+(w0·w1)* for a word with odd a-count, the pair (w0*, w1*) otherwise, put
+in the order of their words so that a conjugator that swaps the sections
+finds the same row.  A record key and a tuple key never compare equal.
+``lambda2`` maps each row key to the row's member records, a plain list.
+Within a row, members are pairwise non-conjugate; the first member found
+conjugate to a new word becomes its representative.  A word is processed
+once it has a representative (``rep`` is set).  The five seed words
+``1, a, b, c, d`` are split the same way and open the first five rows,
+one each.
 
 A word's Q-set against a row member comes from the children's stored
 Q-sets through ``quotient.q_even`` or ``quotient.q_odd_cosets``, the one
@@ -59,7 +64,7 @@ from .quotient import (
     q_odd_cosets,
     relative,
 )
-from .words import parse, split
+from .words import parse, split_level
 
 ROW_CAPACITY = 256
 
@@ -256,38 +261,40 @@ def shortlex_order(words: list) -> list:
 def collect_universe(inputs, table: ConjTable) -> list:
     """Create a record for every splitting-tree label of every input, each
     linked to its children's records as it is split, and return the new
-    records in shortlex processing order."""
+    records in shortlex processing order.  Each tree level is split with
+    one ``split_level`` call; the new words among its children make up
+    the next level."""
     lam1 = table.lambda1
     words_out = []
-    stack = []
+    level = []
 
     def record(w: str) -> WordRecord:
-        # Get or create; a new record is queued for splitting.
+        # Get or create; a new record joins the next level.
         table.ops += len(w) + 1
         rec = lam1.get(w)
         if rec is None:
             rec = lam1[w] = WordRecord(w)
             table.ops += len(w) + 1   # the insert
             words_out.append(w)
-            stack.append(rec)
+            level.append(rec)
         return rec
 
     for w in inputs:
         record(w)
-    while stack:
-        rec = stack.pop()
-        w0, w1, y = split(rec.word)
-        if y is None:
-            rec.child0 = record(w0)
-            rec.child1 = record(w1)
-        else:
-            rec.even = False
-            rec.child = record(y)
-            rec.sec0 = w0
-            rec.sec1 = w1
-            rec.oc0 = coset(w0)
-            rec.oc1 = coset(w1)
-            table.ops += len(w0) + len(w1)
+    while level:
+        recs, level = level, []
+        for rec, (w0, w1, y) in zip(recs, split_level([r.word for r in recs])):
+            if y is None:
+                rec.child0 = record(w0)
+                rec.child1 = record(w1)
+            else:
+                rec.even = False
+                rec.child = record(y)
+                rec.sec0 = w0
+                rec.sec1 = w1
+                rec.oc0 = coset(w0)
+                rec.oc1 = coset(w1)
+                table.ops += len(w0) + len(w1)
     ordered = shortlex_order(words_out)
     table.ops += sum(map(len, ordered)) + len(ordered)
     return [lam1[w] for w in ordered]

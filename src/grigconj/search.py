@@ -44,7 +44,6 @@ from .words import (
     inverse,
     is_identity,
     iter_reduced_words,
-    norm,
     norm9_universe,
     parse,
     phi_pair,
@@ -162,6 +161,11 @@ def _check_lift(x0: str, x1: str, x: str) -> None:
 
 # ---------------------------------------------------------------------------
 # Base conjugator table over the norm < 9 universe.
+
+# The words of the norm < 9 universe: a slot whose two words lie here is
+# read from the base table.
+_BASE_WORDS = frozenset(norm9_universe())
+
 
 def _base_words() -> dict:
     """Each word v of the norm < 9 universe, class by class in universe
@@ -295,8 +299,7 @@ class _Searcher:
         is walked for its coset before the lift.
         """
         t = self.t
-        # Norm < 9 needs at most 12 letters, each weighing over 0.7.
-        if len(u) < 13 and len(v) < 13 and norm(u) < 9.0 and norm(v) < 9.0:
+        if u in _BASE_WORDS and v in _BASE_WORDS:
             try:
                 return self.base[(u, v, g)]
             except KeyError:

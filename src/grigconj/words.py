@@ -41,6 +41,21 @@ the same ones over and over).  So a memo in front of the kernel keeps the
 sections of reduced even words of at most ``_MEMO_MAX_LEN`` = 12 letters:
 at most 2185 entries, whatever the input.
 
+:func:`split_level` takes the splitting step of a whole list of reduced
+words (the engine passes one level of the universe at a time), so the
+per-call cost of the string passes is paid once per level, not per word.
+Words of at most 12 letters (after an odd word takes its trailing ``a``)
+go through ``phi_pair`` and its memo.  The others go into one buffer,
+each padded with ``_`` so that its odd-parity stars fall on positions
+2 (mod 4) and ended with ``|``; one ``tagged[2::4]`` upper-case tags every
+word's odd stars, and each section map is one ``translate`` of the whole
+buffer that also deletes the ``_``.  The run products of all the sections
+of a map are then taken in one pass, with each ``|`` kept as a run of its
+own so that no run spans two words, and only the sections left with an
+identity run between two a's go through the stack pass, which ``reduce``
+shares.  :func:`split` is a level of one word; ``phi_pair`` stays the
+path for single words elsewhere (the word problem, the cross-checks).
+
 All functions in this module are pure; strings are immutable, so values
 can be shared freely between threads (the memo only ever gains entries
 equal to what a fresh computation returns).
@@ -88,6 +103,12 @@ _PHI1 = bytes.maketrans(b"bcdBC", b"cdbaa")
 
 _MEMO_MAX_LEN = 12
 _SECTIONS: dict[str, tuple[str, str]] = {}
+
+# split_level's buffer: "_" pads a word to its alignment and is deleted
+# with the a's; "|" ends each word and is a run of its own (see
+# _reduce_level).
+_PAD = ("", "_", "__", "___")
+_RUN["|"] = "|"
 
 
 class InvalidCharacter(ValueError):
@@ -171,6 +192,13 @@ def reduce(letters: str) -> str:
     out = "a".join(codes)
     if "aa" not in out:
         return out
+    return _cancel(codes)
+
+
+def _cancel(codes: list) -> str:
+    """The reduced form of ``"a".join(codes)``, for run products ``codes``
+    (each "", "b", "c" or "d"): every identity run between two a's cancels
+    them and merges its neighbours.  Consumes ``codes``."""
     # Invariant: no identity run in ``stack`` except its bottom (a leading
     # a) and its top, which cancels against the next run unless it is the
     # bottom.  The runs up to the next identity run are pushed as one slice.
@@ -302,10 +330,58 @@ def split(w: str) -> tuple[str, str, str | None]:
     two sections of ``w`` when its a-count is even, otherwise
     ``(s0, s1, y)`` with the sections of ``w·a`` and their reduced
     product ``y = s0·s1``."""
-    if a_parity(w) == 0:
-        return (*phi_pair(w), None)
-    s0, s1 = phi_pair(product(w, "a"))
-    return s0, s1, product(s0, s1)
+    return split_level([w])[0]
+
+
+def split_level(ws: list) -> list:
+    """``split(w)`` for every reduced word ``w`` of ``ws``, in order.
+
+    A word whose even form (``w`` or ``w·a``) has at most ``_MEMO_MAX_LEN``
+    letters goes through :func:`phi_pair` and its memo.  The longer ones
+    are split together, with one string pass per step over the whole
+    level rather than per word (see the module docstring).
+    """
+    out = []
+    todo = []   # (index in out, whether odd) of the words split together
+    parts = []
+    pos = 0
+    for w in ws:
+        odd = w.count("a") & 1
+        if odd:
+            # w·a: the trailing a of w cancels, or w gains one.
+            w = w[:-1] if w[-1:] == "a" else w + "a"
+        if len(w) <= _MEMO_MAX_LEN:
+            s0, s1 = phi_pair(w)
+            out.append((s0, s1, product(s0, s1) if odd else None))
+            continue
+        # The odd-parity stars of w sit at 2 - st + 4j (st = 1 after a
+        # leading a; see phi_pair): start w at st (mod 4) in the buffer,
+        # so that they land on 2 (mod 4).
+        pad = ((w[0] == "a") - pos) % 4
+        parts += (_PAD[pad], w, "|")
+        pos += pad + len(w) + 1
+        todo.append((len(out), odd))
+        out.append(None)
+    if todo:
+        tagged = bytearray("".join(parts), "ascii")
+        tagged[2::4] = tagged[2::4].upper()
+        secs0 = _reduce_level(tagged.translate(_PHI0, b"ad_"))
+        secs1 = _reduce_level(tagged.translate(_PHI1, b"aD_"))
+        for (k, odd), s0, s1 in zip(todo, secs0, secs1):
+            out[k] = (s0, s1, product(s0, s1) if odd else None)
+    return out
+
+
+def _reduce_level(sections: bytearray) -> list:
+    """The reduced form of each ``|``-terminated letter sequence in
+    ``sections``, in order.  One run-product pass covers them all: each
+    ``|`` becomes a run of its own (``a|a``), so no run crosses two
+    sequences.  Only the sequences left with an identity run between two
+    a's go through the stack pass."""
+    runs = sections.decode().replace("|", "a|a").split("a")
+    secs = "a".join(map(_RUN.__getitem__, runs)).split("a|a")
+    secs.pop()  # the empty tail after the last "|"
+    return [_cancel(s.split("a")) if "aa" in s else s for s in secs]
 
 
 def split_children(w: str) -> list[str]:

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import random
 import re
 
@@ -462,6 +463,31 @@ class TestSwappedSections:
         for v in ws:
             for w in ws:
                 assert res.q_set(v, w) == solver.q(v, w), (v, w)
+
+
+class TestPinnedBatch:
+    """Seeded batch solves, pinned at values recorded before the universe
+    was walked one tree level at a time: the walk order must change no
+    representative, Q-set, row or operation count."""
+
+    @pytest.mark.parametrize(
+        "count,length,seed,digest,ops,rows,max_row,universe",
+        [
+            (300, 50, 3, "3f7d5ba7ecdb96d2", 537815, 177, 4, 1101),
+            (20, 2000, 4, "e1ea4f3c892a2e72", 543706, 246, 3, 543),
+        ],
+    )
+    def test_solve_matches_pinned_values(
+        self, count, length, seed, digest, ops, rows, max_row, universe
+    ):
+        rng = random.Random(seed)
+        res = solve([rand_reduced(length, rng) for _ in range(count)])
+        got = hashlib.sha256(repr(res.per_input()).encode()).hexdigest()[:16]
+        assert got == digest
+        assert res.ops == ops
+        assert len(res.table.lambda2) == rows
+        assert res.max_row_size == max_row
+        assert len(res.table.lambda1) == universe
 
 
 class TestTableInvariants:

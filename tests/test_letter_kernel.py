@@ -1,6 +1,7 @@
 """Differential tests of the run-coded letter kernel (``reduce``,
-``phi_pair``, ``is_reduced``) against the per-letter reference in
-``reference_letters`` and against the finite-depth tree action."""
+``phi_pair``, ``is_reduced``, ``split_level``) against the per-letter
+reference in ``reference_letters`` and against the finite-depth tree
+action."""
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,9 @@ from grigconj.words import (
     is_reduced,
     iter_reduced_words,
     phi_pair,
+    product,
     reduce,
+    split_level,
 )
 
 # The reduced words of (ad)^4 and its rotation have both sections empty,
@@ -203,3 +206,111 @@ class TestMemo:
         hit = phi_pair(w)
         assert hit is words._SECTIONS[w]
         assert hit == first == fresh_phi_pair(w) == ref.phi_pair(w)
+
+
+def per_word_split(w):
+    """``split(w)`` by the per-word path: ``phi_pair`` on w or w·a."""
+    if a_parity(w) == 0:
+        return (*fresh_phi_pair(w), None)
+    s0, s1 = fresh_phi_pair(product(w, "a"))
+    return s0, s1, product(s0, s1)
+
+
+def reference_split(w):
+    if a_parity(w) == 0:
+        return (*ref.phi_pair(w), None)
+    s0, s1 = ref.phi_pair(ref.reduce(w + "a"))
+    return s0, s1, ref.reduce(s0 + s1)
+
+
+def run_stage(w):
+    """Both sections of w (or of w·a) after the Klein run products alone,
+    before any a's cancel: where ``split_level`` still needs its stack
+    pass, they contain "aa"."""
+    if a_parity(w):
+        w = ref.reduce(w + "a")
+    out = []
+    for which in (0, 1):
+        p, images = 0, []
+        for ch in w:
+            if ch == "a":
+                p ^= 1
+            else:
+                images.append(ref._PHI0[p ^ which][ch])
+        out.append("a".join(words._RUN[r] for r in "".join(images).split("a")))
+    return out
+
+
+level_words = st.one_of(
+    reduced_words,
+    kernel_products(),
+    dihedral_powers().map(lambda s: ref.reduce(s[:60])),
+    d_heavy.map(lambda s: ref.reduce(s[:80])),
+    st.integers(0, 16).flatmap(lambda n: st.text(alphabet="abcd", min_size=n, max_size=n))
+    .map(ref.reduce),
+)
+
+
+@st.composite
+def levels(draw):
+    """A list of reduced words, some of them repeated, in any order."""
+    ws = draw(st.lists(level_words, min_size=1, max_size=12))
+    ws += draw(st.lists(st.sampled_from(ws), max_size=4))
+    return draw(st.permutations(ws))
+
+
+def check_level(ws):
+    got = split_level(ws)
+    assert got == [per_word_split(w) for w in ws]
+    assert got == [reference_split(w) for w in ws]
+
+
+class TestSplitLevel:
+    @given(levels())
+    def test_matches_per_word_path_and_reference(self, ws):
+        check_level(ws)
+
+    @given(level_words)
+    def test_level_of_one_word(self, w):
+        check_level([w])
+
+    def test_empty_level(self):
+        assert split_level([]) == []
+
+    def test_covers_every_word_shape(self):
+        # One level with each case the buffer layout and the run stage
+        # must handle; the asserts show the level really holds them.
+        ws = [
+            ref.reduce(x)
+            for x in (
+                "abacabadacab" * 3,                       # leading a, long
+                "bacabadacaba" * 3 + "d",                 # leading star
+                "adadadad" * 3,                           # both sections empty
+                "abacabadacab" + "adadadad" * 2 + "bacadaca",
+                "adacabadabadacadacaba",                  # odd, long
+                "abacab", "bab", "adacad", "a", "", "d",  # short
+            )
+        ]
+        for n in range(13, 21):
+            ws.append(("ab" * n)[:n])
+            ws.append(("ba" * n)[:n])
+        ws += ws[:4]                                      # duplicates
+        long_ = [w for w in ws if len(w) > words._MEMO_MAX_LEN]
+        assert {"a", "b"} <= {w[0] for w in long_}
+        assert {len(w) % 4 for w in long_} == {0, 1, 2, 3}
+        assert any(a_parity(w) for w in long_)
+        assert any(len(w) <= words._MEMO_MAX_LEN for w in ws)
+        assert len(set(ws)) < len(ws)
+        assert any("aa" in sec for w in long_ for sec in run_stage(w))
+        assert any(sec == "" for w in long_ for sec in reference_split(w)[:2])
+        check_level(ws)
+
+    def test_long_cascades(self):
+        # (ad)^4 conjugated by long words: the run stage leaves deep
+        # cascades for the stack pass, next to words that need none.
+        x = ref.reduce("abacabadacab" * 30)
+        ws = [ref.reduce(x + KERNEL_WORDS[k] * 200 + inverse(x)) for k in (0, 1)]
+        ws += [x, ref.reduce(x + "a"), ref.reduce("d" + x)]
+        assert all("aa" in run_stage(w)[0] for w in ws[:2])
+        check_level(ws)
+        assert split_level(ws[:2]) == [("", "", None)] * 2

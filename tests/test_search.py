@@ -455,6 +455,13 @@ class TestBaseConjTable:
             assert coset(x) == g
             assert equal(u, reduce(inverse(x) + v + x))
 
+    def test_base_words_match_the_norm_predicate(self):
+        # The searcher reads a slot from the base table when both words
+        # lie in this set; the test it replaced was len(w) < 13 and
+        # norm(w) < 9.0 on each word.
+        for w in iter_reduced_words(13):
+            assert (w in search_mod._BASE_WORDS) == (len(w) < 13 and norm(w) < 9.0), w
+
 
 class TestFindConjugator:
     def test_example_pair(self):
