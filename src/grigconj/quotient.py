@@ -41,7 +41,6 @@ from __future__ import annotations
 import functools
 import os
 import threading
-from dataclasses import dataclass
 
 from .words import equal, inverse, iter_reduced_words, product
 
@@ -112,7 +111,6 @@ def _invert(p: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 # Quotient tables.
 
-@dataclass(frozen=True, eq=False)
 class QuotientTables:
     """Finite data of the index-16 quotient.
 
@@ -121,16 +119,20 @@ class QuotientTables:
     slots are exactly the relation L.  ``even_cosets`` is the image of
     the lift, the cosets of words with an even a-count.
 
-    Equality is identity.  Every build that succeeds holds the same
-    data, so two builds are compared field by field.
+    Equality is identity, and instances take weak references.  Every
+    build that succeeds holds the same data, so two builds are compared
+    field by field, over ``vars(tables)``.  Nothing assigns to a field
+    after the build.
     """
 
-    mul: tuple
-    inv: tuple
-    gen_coset: dict
-    lift: tuple
-    stabilizer_depth: int
-    even_cosets: int
+    def __init__(self, mul: tuple, inv: tuple, gen_coset: dict, lift: tuple,
+                 stabilizer_depth: int, even_cosets: int):
+        self.mul = mul
+        self.inv = inv
+        self.gen_coset = gen_coset
+        self.lift = lift
+        self.stabilizer_depth = stabilizer_depth
+        self.even_cosets = even_cosets
 
     @property
     def pairs(self):

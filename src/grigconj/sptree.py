@@ -12,17 +12,11 @@ built.  ``words.split_children`` gives the children of any vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .words import norm, parse, split_children
 
-
-@dataclass(frozen=True)
-class SplitTree:
-    vertex_count: int
-    total_norm: float
-    total_label_len: int
-    height: int
+SplitTree = namedtuple("SplitTree", "vertex_count total_norm total_label_len height")
 
 
 def _walk(w: str, floor: float) -> SplitTree:

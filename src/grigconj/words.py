@@ -14,12 +14,13 @@ The letter kernel works on star runs, not letters.  The stars ``b, c, d``
 with the identity form the Klein four-group: coded b=1, c=2, d=3, the
 group law is XOR.  :func:`reduce` splits its input on ``a`` and replaces
 each run by its product (a dict lookup for runs of up to
-``_RUN_TABLE_MAX`` stars, letter counts beyond).  What is left is
-reduced except where a run multiplied out to the identity between two
-a's; one stack pass cancels those a's and merges the runs on either side.
-Every run is pushed and popped at most once, so the pass is linear, and
-the runs between two identity runs are pushed as one slice, so the
-Python-level work is one step per identity run and per merge it sets off.
+``_RUN_TABLE_MAX`` stars, each stored on its first use, letter counts
+beyond).  What is left is reduced except where a run multiplied out to
+the identity between two a's; one stack pass cancels those a's and
+merges the runs on either side.  Every run is pushed and popped at most
+once, so the pass is linear, and the runs between two identity runs are
+pushed as one slice, so the Python-level work is one step per identity
+run and per merge it sets off.
 
 :func:`phi_pair` builds both level-1 sections with C-level string passes.
 In a reduced word the stars sit at positions of one parity, and the k-th
@@ -57,23 +58,23 @@ shares.  :func:`split` is a level of one word; ``phi_pair`` stays the
 path for single words elsewhere (the word problem, the cross-checks).
 
 All functions in this module are pure; strings are immutable, so values
-can be shared freely between threads (the memo only ever gains entries
-equal to what a fresh computation returns).
+can be shared freely between threads (the section memo and the run
+table only ever gain entries equal to what a fresh computation returns).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product as _iproduct
+from collections import namedtuple
 
 LETTERS = "abcd"
 STARS = "bcd"
 
 # Products in the Klein four-group {1, b, c, d} (b=1, c=2, d=3, XOR), keyed
 # by the run of stars and valued by the product's letter ("" for 1).  The
-# dict covers every run of up to _RUN_TABLE_MAX stars; longer runs are
-# counted.  Keys of two letters also serve as the merge table of
-# product() and of the run stack.
+# dict starts empty and stores each run of up to _RUN_TABLE_MAX stars on
+# its first lookup (at most 1093 keys); longer runs are counted on every
+# lookup and not stored.  Keys of two letters also serve as the merge
+# table of product() and of the run stack.
 _RUN_TABLE_MAX = 6
 _KLEIN_LETTER = ("", "b", "c", "d")
 
@@ -85,14 +86,13 @@ def _klein_product(run: str) -> str:
 
 class _RunProducts(dict):
     def __missing__(self, run: str) -> str:
-        return _klein_product(run)
+        got = _klein_product(run)
+        if len(run) <= _RUN_TABLE_MAX and not run.strip(STARS):
+            self[run] = got
+        return got
 
 
-_RUN = _RunProducts(
-    (run, _klein_product(run))
-    for n in range(_RUN_TABLE_MAX + 1)
-    for run in map("".join, _iproduct(STARS, repeat=n))
-)
+_RUN = _RunProducts()
 
 # Section images of a star: lower case after an even number of a's,
 # upper case after an odd number (phi_pair tags those).  Section 0 sends
@@ -135,14 +135,10 @@ def _newton_alpha() -> float:
 ALPHA = _newton_alpha()
 
 
-@dataclass(frozen=True)
-class NormWeights:
+class NormWeights(namedtuple("NormWeights", "gamma_a gamma_b gamma_c gamma_d")):
     """Per-letter weights for the weighted length of a word."""
 
-    gamma_a: float
-    gamma_b: float
-    gamma_c: float
-    gamma_d: float
+    __slots__ = ()
 
     @classmethod
     def exact(cls) -> "NormWeights":

@@ -356,6 +356,104 @@ class TestAgainstPlantedConjugations:
             assert res.representative(w) == ""
 
 
+# Identities of the group.  All but bcd hold beyond the free product
+# Z2 * V4, where reduced words are the normal forms, so inserting one
+# into a word respells it; bcd is trivial in the free product already,
+# and reduce removes it wherever it lands.
+RELATORS = ("adadadad", "acacacacacacacac", "adacacadacacadacacadacac", "bcd")
+
+
+def respell(w: str, rng, inserts: int, relators=RELATORS) -> str:
+    """Another spelling of the element ``w``: relators inserted at seeded
+    positions of ``w``'s letters, then reduced."""
+    letters = list(w)
+    for _ in range(inserts):
+        letters.insert(rng.randrange(len(letters) + 1), rng.choice(relators))
+    return reduce("".join(letters))
+
+
+def cycle_type(perm: tuple) -> list:
+    seen = [False] * len(perm)
+    lengths = []
+    for i in range(len(perm)):
+        n = 0
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+            n += 1
+        if n:
+            lengths.append(n)
+    return sorted(lengths)
+
+
+class TestSpellingsOfOneElement:
+    """Adversarial batches: long words equal to the identity, and several
+    spellings of one element planted in one batch."""
+
+    def test_relators_are_identities(self):
+        assert [reduce(r) for r in RELATORS] == [*RELATORS[:3], ""]
+        for r in RELATORS:
+            assert oracle.word_equal_oracle(r, "")
+
+    def test_long_identity_words(self, rng):
+        # u·y^-1 for two spellings u, y of one element.
+        ids, others = [], []
+        for _ in range(8):
+            u = rand_reduced(rng.randrange(500, 600), rng)
+            ids.append(reduce(u + inverse(respell(u, rng, 6))))
+            others.append(respell(u, rng, 2))
+        assert min(map(len, ids)) >= 500
+        res = solve(ids + others)
+        for w in ids:
+            assert res.representative(w) == ""
+            assert res.record(w).rep is res.record("").rep
+        for w in others:
+            assert res.representative(w) != ""
+        # The depth action confirms the shortest of each.
+        for w in (min(ids, key=len), min(others, key=len)):
+            assert oracle.word_equal_oracle(w, "") == (w in ids)
+
+    def test_spellings_share_a_representative(self, rng):
+        elements = [rand_reduced(rng.randrange(100, 200), rng) for _ in range(4)]
+        groups = [[w] + [respell(w, rng, rng.randrange(1, 4)) for _ in range(4)] for w in elements]
+        batch = [s for g in groups for s in g]
+        batch += [rand_reduced(rng.randrange(100, 200), rng) for _ in range(8)]
+        rng.shuffle(batch)
+        res = solve(batch)
+        for w, *spellings in groups:
+            assert len(set(spellings) - {w}) >= 3
+            rep = res.record(w).rep
+            for s in spellings:
+                assert res.record(s).rep is rep
+                assert equal(s, w)
+            assert oracle.word_equal_oracle(spellings[0], w)
+        i, j = conjugate_pairs(batch)
+        assert res.record(batch[i]).rep is res.record(batch[j]).rep
+
+    def test_short_spellings_against_naive(self, rng):
+        # The shorter relators keep the words short for the naive recursion.
+        short = RELATORS[:2] + ("bcd",)
+        groups = []
+        for _ in range(8):
+            w = rand_reduced(rng.randrange(2, 13), rng)
+            groups.append([w] + [respell(w, rng, 1, short) for _ in range(3)])
+        groups.append([respell("", rng, 1) for _ in range(3)])
+        batch = list(dict.fromkeys(s for g in groups for s in g))
+        res = solve(batch)
+        solver = oracle.make_naive_solver()
+        act = oracle.DepthAction.at_depth(5)
+        for u in batch:
+            assert (res.representative(u) == "") == oracle.word_equal_oracle(u, "")
+            for v in batch:
+                assert res.q_set(u, v) == solver.q(u, v), (u, v)
+                if res.record(u).rep is res.record(v).rep:
+                    # Conjugate elements act by conjugate permutations.
+                    assert cycle_type(act.word_perm(u)) == cycle_type(act.word_perm(v))
+        for g in groups:
+            assert len({res.record(s).rep.word for s in g}) == 1
+            assert all(oracle.word_equal_oracle(s, g[0]) for s in g)
+
+
 def odd_chain_depth(w: str) -> int:
     """How many odd records in a row start at w: w odd, its product
     child odd, and so on."""

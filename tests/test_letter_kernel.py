@@ -208,6 +208,24 @@ class TestMemo:
         assert hit == first == fresh_phi_pair(w) == ref.phi_pair(w)
 
 
+class TestRunTable:
+    def test_stores_only_short_star_runs(self):
+        # Runs of up to _RUN_TABLE_MAX stars are stored on first use;
+        # longer runs and other keys are computed and not stored.
+        longest = words._RUN_TABLE_MAX
+        for n in range(3 * longest):
+            for run in ("b" * n, "cd" * n, "dbc" * n):
+                assert reduce("a" + run + "a") == ref.reduce("a" + run + "a")
+        assert words._RUN["|"] == "|"
+        assert words._RUN["xddd"] == "d" and "xddd" not in words._RUN
+        assert words._RUN["bcdbcdbcd"] == "" and "bcdbcdbcd" not in words._RUN
+        for run, got in words._RUN.items():
+            if run != "|":
+                assert len(run) <= longest and not run.strip("bcd")
+                assert got == ref.reduce(run)
+        assert len(words._RUN) <= 1 + (3 ** (longest + 1) - 1) // 2
+
+
 def per_word_split(w):
     """``split(w)`` by the per-word path: ``phi_pair`` on w or w·a."""
     if a_parity(w) == 0:

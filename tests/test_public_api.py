@@ -1,3 +1,8 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import grigconj
 
 
@@ -11,3 +16,29 @@ def test_star_import():
     namespace = {}
     exec("from grigconj import *", namespace)
     assert set(grigconj.__all__) <= set(namespace)
+
+
+_IMPORT_ONLY = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import grigconj
+from grigconj import quotient, search, words
+print(json.dumps({
+    "modules": sorted(m for m in ("dataclasses", "inspect", "ast") if m in sys.modules),
+    "tables_built": quotient._TABLES is not None,
+    "base_slots": len(search.get_base_table()),
+    "run_keys": sorted(words._RUN),
+}))
+"""
+
+
+def test_import_builds_nothing():
+    # A fresh interpreter without site packages: importing the package
+    # loads no heavy standard-library module and fills no table.
+    src = str(Path(grigconj.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORT_ONLY, src],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    got = json.loads(done.stdout)
+    assert got == {"modules": [], "tables_built": False, "base_slots": 0, "run_keys": ["|"]}

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import random
@@ -64,6 +63,12 @@ class TestBuild:
         monkeypatch.setenv("GRIG_MAX_DEPTH", raw)
         with pytest.raises(ConfigError, match="GRIG_MAX_DEPTH"):
             build_quotient()
+
+    def test_tables_compare_by_identity(self, tables):
+        fresh = build_quotient()
+        assert isinstance(fresh, QuotientTables)
+        assert fresh == fresh and fresh != tables
+        assert weakref.ref(fresh)() is fresh
 
     def test_coset_numbering_is_pinned(self, tables, capsys):
         # The first-in-first-out coset walk of the build numbers the
@@ -519,7 +524,7 @@ class TestMemos:
         # and base_q is computed once.
         fresh = build_quotient()
         assert fresh != tables
-        names = [f.name for f in dataclasses.fields(QuotientTables)]
+        names = list(vars(fresh))
         assert names == ["mul", "inv", "gen_coset", "lift", "stabilizer_depth", "even_cosets"]
         for name in names:
             assert getattr(fresh, name) == getattr(tables, name), name

@@ -50,6 +50,17 @@ class TestBuildTree:
         assert t.height == 0
         assert t.total_norm == 0.0
 
+    def test_totals_are_an_immutable_named_tuple(self):
+        t = sptree.build_tree("aba")
+        assert type(t) is sptree.SplitTree
+        assert t._fields == ("vertex_count", "total_norm", "total_label_len", "height")
+        assert repr(t) == (
+            f"SplitTree(vertex_count=3, total_norm={t.total_norm!r}, "
+            "total_label_len=5, height=1)"
+        )
+        with pytest.raises(AttributeError):
+            t.height = 0
+
     def test_single_letter_is_leaf(self):
         t = sptree.build_tree("d")
         assert t.vertex_count == 1

@@ -8,6 +8,7 @@ from grigconj.words import (
     EXACT_WEIGHTS,
     TABULATED_WEIGHTS,
     InvalidCharacter,
+    NormWeights,
     NotInStabilizer,
     a_parity,
     equal,
@@ -164,6 +165,18 @@ class TestWeights:
         assert EXACT_WEIGHTS.gamma_b == 2.0
         assert EXACT_WEIGHTS.gamma_c == pytest.approx(a2 - ALPHA + 1, abs=1e-15)
         assert EXACT_WEIGHTS.gamma_d == pytest.approx(-a2 + ALPHA + 1, abs=1e-15)
+
+    def test_weights_are_an_immutable_named_tuple(self):
+        w = NormWeights(1.0, 2.0, 3.0, 4.0)
+        assert NormWeights._fields == ("gamma_a", "gamma_b", "gamma_c", "gamma_d")
+        assert repr(w) == "NormWeights(gamma_a=1.0, gamma_b=2.0, gamma_c=3.0, gamma_d=4.0)"
+        assert w == (1.0, 2.0, 3.0, 4.0) and hash(w) == hash((1.0, 2.0, 3.0, 4.0))
+        with pytest.raises(AttributeError):
+            w.gamma_a = 0.5
+        with pytest.raises(AttributeError):
+            w.extra = 0.5
+        assert NormWeights.tabulated() == TABULATED_WEIGHTS
+        assert type(NormWeights.exact()) is NormWeights
 
     def test_triangle_inequality_among_star_weights(self):
         w = EXACT_WEIGHTS
