@@ -99,24 +99,15 @@ def tau(which: int, w: str) -> str:
 def dihedral_normalize(w: str) -> str:
     """Canonical form (length <= 4) of a word over {a, d}.
 
-    Folds letters through the state machine of <a, d | a^2, d^2, (ad)^4>:
-    right-multiplying (ad)^k a^e by a toggles e; by d it moves k against e
-    because d = a · ad.
+    In <a, d | a^2, d^2, (ad)^4> the word is (ad)^k a^e with e its length
+    parity: every letter toggles e, and d = a · ad moves k by +1 after an
+    odd number of letters and by -1 after an even number.
     """
-    k, e = 0, 0
-    for ch in w:
-        if ch == "a":
-            e ^= 1
-        elif ch == "d":
-            if e:
-                k = (k + 1) & 3
-                e = 0
-            else:
-                k = (k - 1) & 3
-                e = 1
-        else:
-            raise NotDihedral(f"letter {ch!r} in dihedral word {w!r}")
-    return _DIHEDRAL_WORDS[(k, e)]
+    bad = w.strip("ad")
+    if bad:
+        raise NotDihedral(f"letter {bad[0]!r} in dihedral word {w!r}")
+    k = w[1::2].count("d") - w[0::2].count("d")
+    return _DIHEDRAL_WORDS[(k & 3, len(w) & 1)]
 
 
 def lift_word(x0: str, x1: str) -> str:

@@ -9,6 +9,10 @@ the splitting recursion implemented here.
 Two reducers: :func:`reduce` rewrites an arbitrary letter sequence in one
 linear pass, while :func:`product` multiplies two words that are already
 reduced, where only the letters at the junction can cancel or merge.
+:func:`parse` returns text that is already a reduced word as is, after
+one :func:`is_reduced` check (two slices and two C-level ``strip`` calls,
+which also prove every letter is in "abcd"); any other text is validated
+and reduced.
 
 The letter kernel works on star runs, not letters.  The stars ``b, c, d``
 with the identity form the Klein four-group: coded b=1, c=2, d=3, the
@@ -255,8 +259,12 @@ def parse(text: str) -> str:
     """Parse the text encoding of a word and reduce it.
 
     Lowercase letters a, b, c, d concatenated; the literal "1" (or the
-    empty string) denotes the identity.
+    empty string) denotes the identity.  Reduced text is returned as is
+    after one :func:`is_reduced` check, which also proves every letter
+    is in "abcd"; any other text is validated and reduced.
     """
+    if type(text) is str and is_reduced(text):
+        return text
     if text in ("1", ""):
         return ""
     bad = set(text) - set(LETTERS)

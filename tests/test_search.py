@@ -156,6 +156,17 @@ class TestTau:
         assert tau(which, w) == reduce("".join(table[ch] for ch in w))
 
 
+def _fold_dihedral(w):
+    """Canonical form of an {a,d}-word through the state machine of
+    <a, d | a^2, d^2, (ad)^4>: the state (k, e) is (ad)^k a^e."""
+    k, e = 0, 0
+    for ch in w:
+        if ch == "d":
+            k = (k + (1 if e else -1)) & 3
+        e ^= 1
+    return search_mod._DIHEDRAL_WORDS[(k, e)]
+
+
 class TestDihedral:
     def test_examples(self):
         assert dihedral_normalize("adadadad") == ""
@@ -182,6 +193,25 @@ class TestDihedral:
                 c = dihedral_normalize(w)
                 assert len(c) <= 4
                 assert equal(reduce(w), c)
+
+    def test_exhaustive_against_state_machine(self):
+        # The letter counts agree with folding the letters one at a time
+        # on every {a,d}-word of length <= 12.
+        from itertools import product
+
+        for n in range(13):
+            for tup in product("ad", repeat=n):
+                w = "".join(tup)
+                assert dihedral_normalize(w) == _fold_dihedral(w), w
+
+    def test_long_words(self, rng):
+        for n in (300, 301, 1000, 4001):
+            w = "".join(rng.choice("ad") for _ in range(n))
+            c = dihedral_normalize(w)
+            assert c == _fold_dihedral(w)
+            assert equal(reduce(w), c)
+        with pytest.raises(NotDihedral, match="letter 'b'"):
+            dihedral_normalize("ad" * 200 + "b" + "da" * 200)
 
 
 class TestLiftWord:

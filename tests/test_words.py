@@ -3,10 +3,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rand_reduced
+from grigconj import words
 from grigconj.words import (
     ALPHA,
     EXACT_WEIGHTS,
     TABULATED_WEIGHTS,
+    LETTERS,
     InvalidCharacter,
     NormWeights,
     NotInStabilizer,
@@ -23,6 +25,17 @@ from grigconj.words import (
     reduce,
     split_children,
 )
+
+
+def _checked_parse(text):
+    """``parse`` without its early return for reduced text."""
+    if text in ("1", ""):
+        return ""
+    bad = set(text) - set(LETTERS)
+    if bad:
+        raise InvalidCharacter(f"invalid symbol(s) {sorted(bad)} in {text!r}")
+    return reduce(text)
+
 
 letter_seqs = st.text(alphabet="abcd", max_size=60)
 reduced_words = letter_seqs.map(reduce)
@@ -68,6 +81,41 @@ class TestParse:
             parse("abx")
         with pytest.raises(InvalidCharacter):
             parse("a b")
+
+    @given(st.one_of(st.text(alphabet="abcd1 xA\u00e9\u03b1\u0430", max_size=40),
+                     reduced_words,
+                     st.builds(lambda w, k, ch: w[:k] + ch + w[k:], reduced_words,
+                               st.integers(0, 60), st.sampled_from("1 xA\u00e9"))))
+    def test_agrees_with_checked_path(self, text):
+        # Reduced text returns early; everything else must behave exactly
+        # as the validate-then-reduce path, error message included.
+        try:
+            want = _checked_parse(text)
+        except InvalidCharacter as exc:
+            with pytest.raises(InvalidCharacter) as got:
+                parse(text)
+            assert str(got.value) == str(exc)
+        else:
+            assert parse(text) == want
+
+    def test_reduced_word_returned_as_is(self, rng):
+        for n in (0, 1, 2, 7, 50, 2000):
+            w = rand_reduced(n, rng)
+            assert parse(w) is w
+
+    def test_reduced_word_skips_reduce(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(words, "reduce", lambda text: calls.append(text) or reduce(text))
+        w = rand_reduced(2000, rng)
+        assert parse(w) is w
+        assert calls == []
+        assert parse(w + w[-1]) == w[:-1]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("text", [b"ab", b"abx", bytearray(b"ab")])
+    def test_rejects_non_str(self, text):
+        with pytest.raises(InvalidCharacter):
+            parse(text)
 
 
 class TestReduce:
