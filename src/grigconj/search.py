@@ -154,7 +154,8 @@ def _check_lift(x0: str, x1: str, x: str) -> None:
 # Base conjugator table over the norm < 9 universe.
 
 # The words of the norm < 9 universe: a slot whose two words lie here is
-# read from the base table.
+# read from the base table.  The set is closed under splitting, so the
+# search recursion can only bottom out inside it.
 _BASE_WORDS = frozenset(norm9_universe())
 
 
@@ -197,18 +198,6 @@ def _fill_word(v: str, members: list, solved, slots: dict, max_len: int = 24) ->
         raise BaseIncomplete(
             f"slots for {v!r} unwitnessed at length {max_len}: {sorted(by_coset)}"
         )
-
-
-def build_base_conj_table(max_len: int = 24) -> dict:
-    """Explicit conjugators ``{(u, v, g): x}`` for every slot with both
-    words in the norm < 9 universe and coset g in Q(u, v), word v by word v
-    into a fresh dict; ``get_base_table`` fills the same values on first
-    use.  The norm < 9 word set is closed under splitting, so the search
-    recursion can only bottom out inside it."""
-    slots: dict = {}
-    for v, job in _base_words().items():
-        _fill_word(v, *job, slots, max_len)
-    return slots
 
 
 class _BaseTable(dict):

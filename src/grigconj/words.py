@@ -26,25 +26,27 @@ once, so the pass is linear, and the runs between two identity runs are
 pushed as one slice, so the Python-level work is one step per identity
 run and per merge it sets off.
 
-:func:`phi_pair` builds both level-1 sections with C-level string passes.
-In a reduced word the stars sit at positions of one parity, and the k-th
-star has the a-parity of k plus the word's leading a.  One ``bytearray``
-slice assignment upper-cases the stars of odd a-parity; then each section
+Both level-1 sections of a word come from one tag-and-translate step,
+:func:`_translate`.  In a reduced word the stars sit at positions of one
+parity, st, st + 2, ... (st = 1 after a leading a), and the k-th star
+follows st + k a's, so the stars of odd a-parity sit at 2 - st + 4j.
+One ``bytearray`` slice assignment upper-cases those; then each section
 is one ``bytes.translate`` of the tagged word, through the a-map
 (b, c -> a, d -> deleted) for one case and the sigma-map (b -> c, c -> d,
 d -> b) for the other, deleting the a's, and is reduced with the run
-stack.  Unreduced input is reduced first.  This changes nothing: the
-letters multiply in the free product Z2 * V4 (``a`` and the stars), where
-reduced words are the normal forms, and the section map is a homomorphism
-of that free product, so a word and its reduction have sections that are
-equal there and reduce to the same words.
+stack.
 
-The string passes cost a few microseconds per call whatever the length,
-more than a per-letter loop costs on words of a handful of letters, and
-the splitting recursions call ``phi_pair`` mostly on such words (and on
-the same ones over and over).  So a memo in front of the kernel keeps the
-sections of reduced even words of at most ``_MEMO_MAX_LEN`` = 12 letters:
-at most 2185 entries, whatever the input.
+:func:`phi_pair` splits one word.  Unreduced input is reduced first.
+This changes nothing: the letters multiply in the free product Z2 * V4
+(``a`` and the stars), where reduced words are the normal forms, and the
+section map is a homomorphism of that free product, so a word and its
+reduction have sections that are equal there and reduce to the same
+words.  The string passes cost a few microseconds per call whatever the
+length, more than a per-letter loop costs on words of a handful of
+letters, and the splitting recursions call ``phi_pair`` mostly on such
+words (and on the same ones over and over).  So a memo in front of the
+kernel keeps the sections of reduced even words of at most
+``_MEMO_MAX_LEN`` = 12 letters: at most 2185 entries, whatever the input.
 
 :func:`split_level` takes the splitting step of a whole list of reduced
 words (the engine passes one level of the universe at a time), so the
@@ -52,14 +54,11 @@ per-call cost of the string passes is paid once per level, not per word.
 Words of at most 12 letters (after an odd word takes its trailing ``a``)
 go through ``phi_pair`` and its memo.  The others go into one buffer,
 each padded with ``_`` so that its odd-parity stars fall on positions
-2 (mod 4) and ended with ``|``; one ``tagged[2::4]`` upper-case tags every
-word's odd stars, and each section map is one ``translate`` of the whole
-buffer that also deletes the ``_``.  The run products of all the sections
-of a map are then taken in one pass, with each ``|`` kept as a run of its
-own so that no run spans two words, and only the sections left with an
-identity run between two a's go through the stack pass, which ``reduce``
-shares.  :func:`split` is a level of one word; ``phi_pair`` stays the
-path for single words elsewhere (the word problem, the cross-checks).
+2 (mod 4) and ended with ``|``, and take one tag-and-translate step
+together.  The run products of all the sections of a map are then taken
+in one pass, with each ``|`` kept as a run of its own so that no run
+spans two words, and only the sections left with an identity run
+between two a's go through the stack pass, which ``reduce`` shares.
 
 All functions in this module are pure; strings are immutable, so values
 can be shared freely between threads (the section memo and the run
@@ -98,19 +97,17 @@ class _RunProducts(dict):
 
 _RUN = _RunProducts()
 
-# Section images of a star: lower case after an even number of a's,
-# upper case after an odd number (phi_pair tags those).  Section 0 sends
-# even stars through the a-map (b, c -> a, d -> deleted) and odd ones
-# through the sigma-map (b -> c, c -> d, d -> b); section 1 the other way.
+# Section images of a star, upper case when _translate has tagged it:
+# section 0 sends untagged stars through the a-map, tagged ones through
+# the sigma-map (see the module docstring); section 1 the other way.
 _PHI0 = bytes.maketrans(b"bcBCD", b"aacdb")
 _PHI1 = bytes.maketrans(b"bcdBC", b"cdbaa")
 
 _MEMO_MAX_LEN = 12
 _SECTIONS: dict[str, tuple[str, str]] = {}
 
-# split_level's buffer: "_" pads a word to its alignment and is deleted
-# with the a's; "|" ends each word and is a run of its own (see
-# _reduce_level).
+# split_level's buffer pads words with "_" and ends each with "|", a run
+# of its own (see the module docstring).
 _PAD = ("", "_", "__", "___")
 _RUN["|"] = "|"
 
@@ -261,9 +258,12 @@ def parse(text: str) -> str:
     Lowercase letters a, b, c, d concatenated; the literal "1" (or the
     empty string) denotes the identity.  Reduced text is returned as is
     after one :func:`is_reduced` check, which also proves every letter
-    is in "abcd"; any other text is validated and reduced.
+    is in "abcd"; any other text is validated and reduced.  Anything
+    but a ``str`` raises :class:`InvalidCharacter`.
     """
-    if type(text) is str and is_reduced(text):
+    if type(text) is not str:
+        raise InvalidCharacter(f"expected a str, got {type(text).__name__}")
+    if is_reduced(text):
         return text
     if text in ("1", ""):
         return ""
@@ -296,6 +296,18 @@ def norm(w: str, weights: NormWeights = EXACT_WEIGHTS) -> float:
     )
 
 
+def _translate(buf: str, odd: int) -> tuple[str, str]:
+    """The two sections of ``buf``, unreduced: the stars at ``odd`` (mod 4)
+    are tagged as odd-parity (see the module docstring), then translated
+    through ``_PHI0`` and ``_PHI1`` with the a's and the padding deleted."""
+    tagged = bytearray(buf, "ascii")
+    tagged[odd::4] = tagged[odd::4].upper()
+    return (
+        tagged.translate(_PHI0, b"ad_").decode(),
+        tagged.translate(_PHI1, b"aD_").decode(),
+    )
+
+
 def phi_pair(w: str) -> tuple[str, str]:
     """Both level-1 sections (phi0(w), phi1(w)) of a word with even a-count.
 
@@ -304,9 +316,7 @@ def phi_pair(w: str) -> tuple[str, str]:
       psi(b) = (a, c)    psi(aba) = (c, a)
       psi(c) = (a, d)    psi(aca) = (d, a)
       psi(d) = (1, b)    psi(ada) = (b, 1)
-    Each section is one ``bytes.translate`` of the word with its odd
-    stars tagged (see the module docstring); short reduced words are
-    memoized.
+    Short reduced words are memoized.
     """
     got = _SECTIONS.get(w)
     if got is not None:
@@ -315,74 +325,54 @@ def phi_pair(w: str) -> tuple[str, str]:
         w = reduce(w)
     if a_parity(w):
         raise NotInStabilizer(f"{w!r} has odd a-count")
-    # The stars sit at positions st, st + 2, ... (st = 1 after a leading
-    # a); the k-th follows st + k a's, so the odd ones sit at 2 - st + 4j.
-    tagged = bytearray(w, "ascii")
-    odd = slice(2 - (w[:1] == "a"), None, 4)
-    tagged[odd] = tagged[odd].upper()
-    got = (
-        reduce(tagged.translate(_PHI0, b"ad").decode()),
-        reduce(tagged.translate(_PHI1, b"aD").decode()),
-    )
+    s0, s1 = _translate(w, 2 - (w[:1] == "a"))
+    got = (reduce(s0), reduce(s1))
     if len(w) <= _MEMO_MAX_LEN:
         _SECTIONS[w] = got
     return got
 
 
-def split(w: str) -> tuple[str, str, str | None]:
-    """One splitting step of a reduced word: ``(w0, w1, None)`` with the
-    two sections of ``w`` when its a-count is even, otherwise
-    ``(s0, s1, y)`` with the sections of ``w·a`` and their reduced
-    product ``y = s0·s1``."""
-    return split_level([w])[0]
-
-
 def split_level(ws: list) -> list:
-    """``split(w)`` for every reduced word ``w`` of ``ws``, in order.
+    """One splitting step of each reduced word ``w`` of ``ws``, in order:
+    ``(w0, w1, None)`` with the two sections of ``w`` when its a-count is
+    even, otherwise ``(s0, s1, y)`` with the sections of ``w·a`` and their
+    reduced product ``y = s0·s1``.
 
-    A word whose even form (``w`` or ``w·a``) has at most ``_MEMO_MAX_LEN``
-    letters goes through :func:`phi_pair` and its memo.  The longer ones
-    are split together, with one string pass per step over the whole
-    level rather than per word (see the module docstring).
+    Even forms (``w`` or ``w·a``) of up to ``_MEMO_MAX_LEN`` letters go
+    through :func:`phi_pair`; the rest share one string pass per step
+    (see the module docstring).
     """
-    out = []
-    todo = []   # (index in out, whether odd) of the words split together
+    evens = []
     parts = []
     pos = 0
     for w in ws:
-        odd = w.count("a") & 1
-        if odd:
+        if w.count("a") & 1:
             # w·a: the trailing a of w cancels, or w gains one.
             w = w[:-1] if w[-1:] == "a" else w + "a"
-        if len(w) <= _MEMO_MAX_LEN:
-            s0, s1 = phi_pair(w)
-            out.append((s0, s1, product(s0, s1) if odd else None))
-            continue
-        # The odd-parity stars of w sit at 2 - st + 4j (st = 1 after a
-        # leading a; see phi_pair): start w at st (mod 4) in the buffer,
-        # so that they land on 2 (mod 4).
-        pad = ((w[0] == "a") - pos) % 4
-        parts += (_PAD[pad], w, "|")
-        pos += pad + len(w) + 1
-        todo.append((len(out), odd))
-        out.append(None)
-    if todo:
-        tagged = bytearray("".join(parts), "ascii")
-        tagged[2::4] = tagged[2::4].upper()
-        secs0 = _reduce_level(tagged.translate(_PHI0, b"ad_"))
-        secs1 = _reduce_level(tagged.translate(_PHI1, b"aD_"))
-        for (k, odd), s0, s1 in zip(todo, secs0, secs1):
-            out[k] = (s0, s1, product(s0, s1) if odd else None)
+        evens.append(w)
+        if len(w) > _MEMO_MAX_LEN:
+            # Start w at st (mod 4) in the buffer, so that its odd-parity
+            # stars land on 2 (mod 4).
+            pad = ((w[0] == "a") - pos) % 4
+            parts += (_PAD[pad], w, "|")
+            pos += pad + len(w) + 1
+    if parts:
+        joint = zip(*map(_reduce_level, _translate("".join(parts), 2)))
+    out = []
+    for w, e in zip(ws, evens):
+        s0, s1 = next(joint) if len(e) > _MEMO_MAX_LEN else phi_pair(e)
+        # w is its own even form exactly when its a-count is even.
+        out.append((s0, s1, None if e is w else product(s0, s1)))
     return out
 
 
-def _reduce_level(sections: bytearray) -> list:
+def _reduce_level(sections: str) -> list:
     """The reduced form of each ``|``-terminated letter sequence in
     ``sections``, in order.  One run-product pass covers them all: each
     ``|`` becomes a run of its own (``a|a``), so no run crosses two
     sequences.  Only the sequences left with an identity run between two
     a's go through the stack pass."""
-    runs = sections.decode().replace("|", "a|a").split("a")
+    runs = sections.replace("|", "a|a").split("a")
     secs = "a".join(map(_RUN.__getitem__, runs)).split("a|a")
     secs.pop()  # the empty tail after the last "|"
     return [_cancel(s.split("a")) if "aa" in s else s for s in secs]
@@ -397,7 +387,7 @@ def split_children(w: str) -> list[str]:
     """
     if len(w) <= 1:
         return []
-    w0, w1, y = split(w)
+    w0, w1, y = split_level([w])[0]
     return [w0, w1] if y is None else [y]
 
 

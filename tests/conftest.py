@@ -14,11 +14,21 @@ def tables():
     return quotient.get_tables()
 
 
+def full_base_table(max_len: int = 24) -> dict:
+    """Every slot ``{(u, v, g): x}`` of the base conjugator table, word v
+    by word v into a fresh dict: the values ``search.get_base_table()``
+    fills on first use."""
+    slots: dict = {}
+    for v, job in search._base_words().items():
+        search._fill_word(v, *job, slots, max_len)
+    return slots
+
+
 @pytest.fixture(scope="session")
 def base_table():
     # The full fill, so a test sees all 2928 slots whatever ran before it;
     # the process-wide table holds only the words looked up so far.
-    return search.build_base_conj_table()
+    return full_base_table()
 
 
 def rand_reduced(length: int, rng: random.Random) -> str:

@@ -22,7 +22,7 @@ from grigconj.engine import (
     solve,
 )
 from grigconj.quotient import IDENTITY_COSET, base_q, coset
-from grigconj.words import a_parity, equal, inverse, iter_reduced_words, reduce, split
+from grigconj.words import a_parity, equal, inverse, iter_reduced_words, reduce, split_level
 
 
 class TestInitialTable:
@@ -277,7 +277,7 @@ class TestQAgainstBruteWitnesses:
         ws = []
         for w in iter_reduced_words(7):
             if len(w) >= 5 and a_parity(w):
-                s0, s1, _ = split(w)
+                s0, s1, _ = split_level([w])[0]
                 if {coset(s0), coset(s1)} - centre:
                     ws.append(w)
         ws = ws[::2]
@@ -459,7 +459,7 @@ def odd_chain_depth(w: str) -> int:
     child odd, and so on."""
     depth = 0
     while True:
-        _, _, y = split(w)
+        _, _, y = split_level([w])[0]
         if y is None:
             return depth
         depth += 1

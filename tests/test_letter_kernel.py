@@ -227,7 +227,7 @@ class TestRunTable:
 
 
 def per_word_split(w):
-    """``split(w)`` by the per-word path: ``phi_pair`` on w or w·a."""
+    """``split_level([w])[0]`` by the per-word path: ``phi_pair`` on w or w·a."""
     if a_parity(w) == 0:
         return (*fresh_phi_pair(w), None)
     s0, s1 = fresh_phi_pair(product(w, "a"))

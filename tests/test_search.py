@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import rand_reduced, run_in_threads
+from conftest import full_base_table, rand_reduced, run_in_threads
 import grigconj
 from grigconj import cli, engine
 from grigconj import search as search_mod
@@ -20,7 +20,6 @@ from grigconj.search import (
     LiftResidual,
     NotDihedral,
     NotLiftable,
-    build_base_conj_table,
     dihedral_normalize,
     find_conjugator,
     lift_word,
@@ -621,23 +620,24 @@ class TestSearchMemo:
 class TestBaseTableCompleteness:
     def test_rebuild_with_tight_cap_is_complete(self):
         # The standard build must not be anywhere near its length cap.
-        table = build_base_conj_table(max_len=12)
+        table = full_base_table(max_len=12)
         assert len(table) > 0
 
     def test_unreachable_cap_is_reported(self):
         # Length-1 witnesses cannot cover every slot.
         with pytest.raises(search_mod.BaseIncomplete):
-            build_base_conj_table(max_len=1)
+            full_base_table(max_len=1)
 
 
     def test_insertion_order_is_independent_of_the_hash_seed(self):
         # Tests that sample the table by position see the same slots in
         # every run.
         src = os.path.dirname(os.path.dirname(grigconj.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        tests = os.path.dirname(os.path.abspath(__file__))
+        path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
         code = (
-            "import hashlib; from grigconj.search import build_base_conj_table; "
-            "print(hashlib.sha256(repr(list(build_base_conj_table().items())).encode()).hexdigest())"
+            "import hashlib; from conftest import full_base_table; "
+            "print(hashlib.sha256(repr(list(full_base_table().items())).encode()).hexdigest())"
         )
         digests = set()
         for seed in ("0", "1"):

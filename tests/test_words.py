@@ -112,7 +112,9 @@ class TestParse:
         assert parse(w + w[-1]) == w[:-1]
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("text", [b"ab", b"abx", bytearray(b"ab")])
+    @pytest.mark.parametrize(
+        "text", [b"ab", b"abx", bytearray(b"ab"), b"", bytearray(), ["a", "b"], 5, None]
+    )
     def test_rejects_non_str(self, text):
         with pytest.raises(InvalidCharacter):
             parse(text)
