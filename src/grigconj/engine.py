@@ -37,9 +37,14 @@ Ops model (``ops`` carries the paper's linearity claim):
 - every row access charges the letters of the key's representatives,
   plus 1;
 - an odd word's two section cosets charge ``len(w0) + len(w1)``, one per
-  letter walked;
+  letter walked, at the split.  Only ``oc1``, which every probe of the
+  word reads, is walked there; ``oc0`` is walked when the word becomes a
+  representative or the conjugator search first reads it, and is never
+  charged again, so the counts are those of walking both at the split;
 - a Q-set transport between words that share a representative charges
-  16, and each Q formula 256;
+  16, and each Q formula 256, inside the probe loop of
+  ``ConjTable.process``; a query after the solve (``SolveResult.q_set``,
+  the conjugator search) charges nothing;
 - processing a word charges ``len(w) + 2``.
 
 Inside ``quotient`` every Q-set operation on this path is a
@@ -64,7 +69,7 @@ from .quotient import (
     q_odd_cosets,
     relative,
 )
-from .words import parse, split_level
+from .words import parse_all, split_level
 
 ROW_CAPACITY = 256
 
@@ -80,7 +85,11 @@ class WordRecord:
         "word", "even",
         "child0", "child1",          # section records (even words)
         # Odd words: the record of y = s0·s1, where (s0, s1) are the
-        # sections of w·a, then s0 and s1 and their cosets.
+        # sections of w·a, then s0 and s1 and their cosets.  ``oc1`` is
+        # walked when the word is split; ``oc0`` stays None until the word
+        # becomes a representative (a row member's ``oc0`` is read by every
+        # probe of its row) or the conjugator search reads it, through
+        # ``coset0``.  ``ops`` charges both walks at the split.
         "child", "sec0", "sec1", "oc0", "oc1",
         "rep", "q_to_rep",
     )
@@ -92,10 +101,15 @@ class WordRecord:
         self.child1 = None
         self.child = None
         self.sec0 = self.sec1 = ""
-        self.oc0 = IDENTITY_COSET
-        self.oc1 = IDENTITY_COSET
+        self.oc0 = self.oc1 = None
         self.rep = None
         self.q_to_rep = 0
+
+    def coset0(self) -> int:
+        """The coset of ``sec0``, walked on the first read."""
+        if self.oc0 is None:
+            self.oc0 = coset(self.sec0)
+        return self.oc0
 
     def __repr__(self):
         rep = self.rep.word if self.rep is not None else None
@@ -119,60 +133,46 @@ class ConjTable:
     # -- seeding -----------------------------------------------------------
     def _seed(self):
         """Split the five seed words like any other, make each its own
-        representative, and open one row per seed under its key."""
+        representative, and open one row per seed under its key, charged
+        as a row access."""
         seeds = collect_universe(("", "a", "b", "c", "d"), self)
         for rec in seeds:
             rec.rep = rec
             rec.q_to_rep = base_q()[rec.word]
         for rec in seeds:
-            self.lambda2[self._row_key(rec)] = [rec]
-
-    def _row_key(self, rec: WordRecord):
-        """The key of ``rec``'s row, charged as one row access: the child's
-        representative for an odd word; for an even word the two section
-        representatives, the one with the smaller word first."""
-        if rec.even:
-            r0, r1 = rec.child0.rep, rec.child1.rep
-            if r1.word < r0.word:
-                r0, r1 = r1, r0
-            self.ops += len(r0.word) + len(r1.word) + 1
-            return r0, r1
-        r = rec.child.rep
-        self.ops += len(r.word) + 1
-        return r
+            if rec.even:
+                r0, r1 = rec.child0.rep, rec.child1.rep
+                key = (r1, r0) if r1.word < r0.word else (r0, r1)
+                self.ops += len(r0.word) + len(r1.word) + 1
+            else:
+                rec.coset0()
+                key = rec.child.rep
+                self.ops += len(key.word) + 1
+            self.lambda2[key] = [rec]
 
     # -- Q-set transport ----------------------------------------------------
     def transport(self, x: WordRecord, y: WordRecord) -> int:
         """Q(x, y) from the stored Q-sets: empty unless both words share a
-        representative r, in which case Q(x,y) = Q(y,r)^-1 Q(x,r)."""
+        representative r, in which case Q(x,y) = Q(y,r)^-1 Q(x,r).  A
+        query, not charged to ``ops``: ``process`` charges the transports
+        of its probes itself."""
         if x.rep is not y.rep:
             return 0
-        self.ops += 16
         return relative(y.q_to_rep, x.q_to_rep)
-
-    def _q_against_even(self, rec: WordRecord, other: WordRecord) -> int:
-        self.ops += 256
-        tr = self.transport
-        return q_even(
-            tr(rec.child0, other.child0),
-            tr(rec.child1, other.child1),
-            tr(rec.child1, other.child0),
-            tr(rec.child0, other.child1),
-        )
-
-    def _q_against_odd(self, rec: WordRecord, other: WordRecord) -> int:
-        self.ops += 256
-        q_prod = self.transport(rec.child, other.child)
-        if not q_prod:
-            return 0
-        return q_odd_cosets(q_prod, rec.oc1, other.oc0, other.oc1)
 
     # -- processing ---------------------------------------------------------
     def process(self, rec: WordRecord):
         """Assign a representative to ``rec``, processing any unprocessed
         odd chain below it first.  The chain never exceeds three records:
         a third odd step would contradict the strict length decrease along
-        three tree edges."""
+        three tree edges.
+
+        A word's row is probed in one loop with the word itself as the last
+        candidate: the first member with a non-empty Q-set against the word
+        becomes its representative, and a word that reaches itself joins
+        the row as a new member.  Each probe charges the Q formula's 256
+        plus 16 per transport between words that share a representative,
+        inline, as ``transport`` computes it."""
         chain = [rec]
         while True:
             cur = chain[-1]
@@ -187,29 +187,67 @@ class ConjTable:
             chain.append(cur.child)
             if len(chain) > 3:
                 raise AssertionError("odd prerequisite chain deeper than 3")
+        ops = 0
         for cur in reversed(chain):
-            if cur.rep is None:
-                self._process_one(cur)
-
-    def _process_one(self, rec: WordRecord):
-        key = self._row_key(rec)
-        row = self.lambda2.setdefault(key, [])
-        q_of = self._q_against_even if rec.even else self._q_against_odd
-        self.ops += len(rec.word) + 2
-        for other in row:
-            q = q_of(rec, other)
-            if q:
-                rec.rep = other
-                rec.q_to_rep = q
-                return
-        if len(row) >= ROW_CAPACITY:
-            label = tuple(r.word for r in key) if rec.even else key.word
-            raise CapacityViolation(f"row {label!r} would exceed {ROW_CAPACITY} members")
-        rec.rep = rec
-        rec.q_to_rep = q_of(rec, rec)
-        if not rec.q_to_rep & (1 << IDENTITY_COSET):
-            raise AssertionError(f"Q({rec.word!r}, itself) misses the identity coset")
-        row.append(rec)
+            if cur.rep is not None:
+                continue
+            if cur.even:
+                c0, c1 = cur.child0, cur.child1
+                r0, r1 = c0.rep, c1.rep
+                q0, q1 = c0.q_to_rep, c1.q_to_rep
+                key = (r1, r0) if r1.word < r0.word else (r0, r1)
+                ops += len(r0.word) + len(r1.word) + len(cur.word) + 3
+                row = self.lambda2.setdefault(key, [])
+                row.append(cur)
+                for other in row:
+                    # The members' sections have the key's representatives,
+                    # so they pair with c0, c1 directly, crosswise, or both
+                    # ways when r0 is r1: two transports of 16 each way.
+                    d0, d1 = other.child0, other.child1
+                    direct = d0.rep is r0
+                    cross = d0.rep is r1
+                    ops += 256 + 32 * (direct + cross)
+                    q = q_even(
+                        relative(d0.q_to_rep, q0) if direct else 0,
+                        relative(d1.q_to_rep, q1) if direct else 0,
+                        relative(d0.q_to_rep, q1) if cross else 0,
+                        relative(d1.q_to_rep, q0) if cross else 0,
+                    )
+                    if q:
+                        break
+            else:
+                p = cur.child
+                key = p.rep
+                qp, cu1 = p.q_to_rep, cur.oc1
+                ops += len(key.word) + len(cur.word) + 3
+                row = self.lambda2.setdefault(key, [])
+                row.append(cur)
+                for other in row:
+                    if other is cur:
+                        cur.coset0()
+                    # Every member's product word has the key as its
+                    # representative, so the transport always applies.
+                    ops += 272
+                    q = q_odd_cosets(
+                        relative(other.child.q_to_rep, qp), cu1, other.oc0, other.oc1
+                    )
+                    if q:
+                        break
+            if other is cur:
+                if len(row) > ROW_CAPACITY:
+                    row.pop()
+                    label = tuple(r.word for r in key) if cur.even else key.word
+                    raise CapacityViolation(
+                        f"row {label!r} would exceed {ROW_CAPACITY} members"
+                    )
+                if not q >> IDENTITY_COSET & 1:
+                    row.pop()
+                    raise AssertionError(f"Q({cur.word!r}, itself) misses the identity coset")
+            else:
+                row.pop()
+            cur.rep = other
+            cur.q_to_rep = q
+        self.ops += ops
 
 
 class SolveResult:
@@ -265,44 +303,47 @@ def collect_universe(inputs, table: ConjTable) -> list:
     one ``split_level`` call; the new words among its children make up
     the next level."""
     lam1 = table.lambda1
+    get = lam1.get
     words_out = []
     level = []
 
-    def record(w: str) -> WordRecord:
-        # Get or create; a new record joins the next level.
-        table.ops += len(w) + 1
-        rec = lam1.get(w)
-        if rec is None:
-            rec = lam1[w] = WordRecord(w)
-            table.ops += len(w) + 1   # the insert
-            words_out.append(w)
-            level.append(rec)
+    def new(w: str) -> WordRecord:
+        # A new record joins the next level.  Records are always true, so
+        # ``get(w) or new(w)`` gets or creates.
+        rec = lam1[w] = WordRecord(w)
+        words_out.append(w)
+        level.append(rec)
         return rec
 
+    # Every lookup charges len(w) + 1: the inputs here, the children
+    # below; the inserts and the reads in shortlex order at the end.
+    ops = sum(map(len, inputs)) + len(inputs)
     for w in inputs:
-        record(w)
+        if w not in lam1:
+            new(w)
     while level:
         recs, level = level, []
         for rec, (w0, w1, y) in zip(recs, split_level([r.word for r in recs])):
             if y is None:
-                rec.child0 = record(w0)
-                rec.child1 = record(w1)
+                rec.child0 = get(w0) or new(w0)
+                rec.child1 = get(w1) or new(w1)
+                ops += len(w0) + len(w1) + 2
             else:
                 rec.even = False
-                rec.child = record(y)
+                rec.child = get(y) or new(y)
                 rec.sec0 = w0
                 rec.sec1 = w1
-                rec.oc0 = coset(w0)
                 rec.oc1 = coset(w1)
-                table.ops += len(w0) + len(w1)
+                # Both section cosets are charged; oc0 is walked on demand.
+                ops += len(y) + 1 + len(w0) + len(w1)
     ordered = shortlex_order(words_out)
-    table.ops += sum(map(len, ordered)) + len(ordered)
+    table.ops += ops + 2 * (sum(map(len, ordered)) + len(ordered))
     return [lam1[w] for w in ordered]
 
 
 def solve(inputs) -> SolveResult:
     """Process all inputs (and their splitting trees) into one table."""
-    inputs = [parse(w) for w in inputs]
+    inputs = parse_all(inputs)
     table = ConjTable()
     for rec in collect_universe(inputs, table):
         if rec.rep is None:

@@ -270,7 +270,8 @@ class _Searcher:
         """``find`` for a slot not yet in the memo.
 
         The sections, product words, section cosets and Q-sets are the
-        ones the solve stored.  The witnesses come from ``quotient``'s
+        ones the solve stored; a first section coset the solve left
+        unwalked is walked on its first read (``WordRecord.coset0``).  The witnesses come from ``quotient``'s
         tables, ``even_witnesses`` or ``odd_witnesses``, filtered by the
         Q-sets of the sections or of the product.  Each is found through
         the memo, and the one with the shortest sub-conjugators is lifted;
@@ -314,7 +315,7 @@ class _Searcher:
                 x = product(x, "a")
             return self._check(u, v, x, max(len(x0), len(x1)))
         rp, rq = ru.child, rv.child
-        witnesses = transport(rp, rq) & odd_witnesses(ru.oc1, rv.oc0, rv.oc1, g)
+        witnesses = transport(rp, rq) & odd_witnesses(ru.oc1, rv.coset0(), rv.oc1, g)
         if not witnesses:
             raise AssertionError(f"no product coset produces {g} for ({u!r}, {v!r})")
         p, q = rp.word, rq.word
@@ -325,7 +326,7 @@ class _Searcher:
                 z, gp = y, c
         u0, u1, v1 = ru.sec0, ru.sec1, rv.sec1
         mul = t.mul
-        iu0, iu1 = t.inv[ru.oc0], t.inv[ru.oc1]
+        iu1 = t.inv[ru.oc1]
         if direct:
             # Even conjugator: x = (z, v1 z u1^-1).
             x1 = product(product(v1, z), inverse(u1))
@@ -336,7 +337,7 @@ class _Searcher:
             x0 = product(z, inverse(u1))
             x1 = product(product(v1, x0), inverse(u0))
             c0 = mul[gp][iu1]
-            c1 = mul[mul[rv.oc1][c0]][iu0]
+            c1 = mul[mul[rv.oc1][c0]][t.inv[ru.coset0()]]
             x = product(self._lift(x0, x1, c0, c1), "a")
         return self._check(u, v, x, len(z))
 

@@ -12,7 +12,8 @@ reduced, where only the letters at the junction can cancel or merge.
 :func:`parse` returns text that is already a reduced word as is, after
 one :func:`is_reduced` check (two slices and two C-level ``strip`` calls,
 which also prove every letter is in "abcd"); any other text is validated
-and reduced.
+and reduced.  :func:`parse_all` checks a whole list of texts in one pass
+over their join, and falls back to :func:`parse` per item.
 
 The letter kernel works on star runs, not letters.  The stars ``b, c, d``
 with the identity form the Klein four-group: coded b=1, c=2, d=3, the
@@ -273,6 +274,36 @@ def parse(text: str) -> str:
     return reduce(text)
 
 
+# parse_all's tags: a and "|" stay, each star becomes b, any other byte x.
+_TAGS = bytes(
+    ord("b") if ch in b"bcd" else ch if ch in b"a|" else ord("x") for ch in range(256)
+)
+
+
+def parse_all(texts) -> list:
+    """``[parse(t) for t in texts]``, with one check of the whole list.
+
+    When every item is a ``str``, the items joined by ``|`` are tagged
+    (see ``_TAGS``) in one pass; they are all reduced words exactly when
+    the tagged text holds no x, no aa and no bb, and one ``|`` between
+    each two items.  The list is then returned as is; anything else goes
+    through :func:`parse` item by item, with the same results and errors.
+    """
+    texts = list(texts)
+    if set(map(type, texts)) == {str}:
+        joined = "|".join(texts)
+        if joined.isascii():
+            tagged = joined.encode().translate(_TAGS)
+            if (
+                b"x" not in tagged
+                and b"aa" not in tagged
+                and b"bb" not in tagged
+                and tagged.count(b"|") == len(texts) - 1
+            ):
+                return texts
+    return [parse(t) for t in texts]
+
+
 def format_word(w: str) -> str:
     """Inverse of :func:`parse`: the identity prints as "1"."""
     return w if w else "1"
@@ -342,27 +373,30 @@ def split_level(ws: list) -> list:
     through :func:`phi_pair`; the rest share one string pass per step
     (see the module docstring).
     """
-    evens = []
+    out = []
+    todo = []   # indices in out of the words split together
     parts = []
     pos = 0
     for w in ws:
-        if w.count("a") & 1:
+        odd = w.count("a") & 1
+        if odd:
             # w·a: the trailing a of w cancels, or w gains one.
             w = w[:-1] if w[-1:] == "a" else w + "a"
-        evens.append(w)
-        if len(w) > _MEMO_MAX_LEN:
-            # Start w at st (mod 4) in the buffer, so that its odd-parity
-            # stars land on 2 (mod 4).
-            pad = ((w[0] == "a") - pos) % 4
-            parts += (_PAD[pad], w, "|")
-            pos += pad + len(w) + 1
-    if parts:
-        joint = zip(*map(_reduce_level, _translate("".join(parts), 2)))
-    out = []
-    for w, e in zip(ws, evens):
-        s0, s1 = next(joint) if len(e) > _MEMO_MAX_LEN else phi_pair(e)
-        # w is its own even form exactly when its a-count is even.
-        out.append((s0, s1, None if e is w else product(s0, s1)))
+        if len(w) <= _MEMO_MAX_LEN:
+            s0, s1 = phi_pair(w)
+            out.append((s0, s1, product(s0, s1) if odd else None))
+            continue
+        # Start w at st (mod 4) in the buffer, so that its odd-parity
+        # stars land on 2 (mod 4).
+        pad = ((w[0] == "a") - pos) % 4
+        parts += (_PAD[pad], w, "|")
+        pos += pad + len(w) + 1
+        todo.append(len(out))
+        out.append(odd)   # a placeholder that keeps the a-parity
+    if todo:
+        secs0, secs1 = map(_reduce_level, _translate("".join(parts), 2))
+        for k, s0, s1 in zip(todo, secs0, secs1):
+            out[k] = (s0, s1, product(s0, s1) if out[k] else None)
     return out
 
 

@@ -588,6 +588,28 @@ class TestPinnedBatch:
         assert len(res.table.lambda1) == universe
 
 
+class TestLazySectionCosets:
+    """An odd word's first section coset is walked when the word becomes a
+    representative; every other odd record keeps None, which no coset
+    table accepts as an index."""
+
+    @pytest.mark.parametrize("count,length,seed", [(300, 50, 3), (20, 2000, 4)])
+    def test_only_representatives_walk_oc0(self, count, length, seed):
+        rng = random.Random(seed)
+        res = solve([rand_reduced(length, rng) for _ in range(count)])
+        odd = [rec for rec in res.table.lambda1.values() if not rec.even]
+        others = [rec for rec in odd if rec.rep is not rec]
+        assert others and len(others) < len(odd)
+        for rec in odd:
+            assert rec.oc1 == coset(rec.sec1)
+            if rec.rep is rec:
+                assert rec.oc0 == coset(rec.sec0)
+            else:
+                assert rec.oc0 is None
+        for rec in others:
+            assert rec.coset0() == coset(rec.sec0) == rec.oc0
+
+
 class TestTableInvariants:
     def test_row_capacity_and_entry_distinctness(self, rng):
         inputs = [rand_reduced(rng.randrange(0, 120), rng) for _ in range(60)]

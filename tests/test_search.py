@@ -580,6 +580,48 @@ class TestConjugatorBytes:
         )
 
 
+class TestSearchReadsTheSolve:
+    """A search reads the solve it was given: it charges no operations,
+    and walks a first section coset the solve left unwalked on its first
+    read."""
+
+    def test_queries_charge_no_ops(self):
+        u, v = "abacabad", "dabacaba"
+        res = engine.solve([u, v])
+        ops = res.ops
+        q = res.q_set(u, v)
+        assert q and res.ops == ops
+        assert search_mod._Searcher(res).find(u, v, mask_cosets(q)[0])
+        assert res.ops == ops
+
+    def test_odd_cosets_read_are_walked(self, monkeypatch):
+        made = []
+
+        class Recording(search_mod._Searcher):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(search_mod, "_Searcher", Recording)
+        rng = random.Random(5)
+        for _ in range(20):
+            v = rand_reduced(rng.randrange(20, 80), rng)
+            x = rand_reduced(rng.randrange(0, 40), rng)
+            assert find_conjugator(reduce(inverse(x) + v + x), v) is not None
+        even_cosets = get_tables().even_cosets
+        walked = 0
+        for searcher in made:
+            for u, v, g in searcher.memo:
+                ru, rv = searcher.solved.record(u), searcher.solved.record(v)
+                if ru.even or (u in search_mod._BASE_WORDS and v in search_mod._BASE_WORDS):
+                    continue
+                # u's first coset is read for an odd conjugator only.
+                for rec in [rv] if even_cosets >> g & 1 else [ru, rv]:
+                    assert rec.oc0 == coset(rec.sec0), rec
+                    walked += rec.rep is not rec
+        assert walked
+
+
 class TestSearchMemo:
     @pytest.fixture
     def searchers(self, monkeypatch):

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import rand_reduced
 from grigconj import words
+from grigconj.engine import solve
 from grigconj.words import (
     ALPHA,
     EXACT_WEIGHTS,
@@ -20,11 +21,16 @@ from grigconj.words import (
     iter_reduced_words,
     norm,
     parse,
+    parse_all,
     phi_pair,
     product,
     reduce,
     split_children,
 )
+
+
+class _Text(str):
+    """A str subclass, which ``parse`` rejects."""
 
 
 def _checked_parse(text):
@@ -39,6 +45,12 @@ def _checked_parse(text):
 
 letter_seqs = st.text(alphabet="abcd", max_size=60)
 reduced_words = letter_seqs.map(reduce)
+parse_texts = st.one_of(
+    st.text(alphabet="abcd1 xA\u00e9\u03b1\u0430", max_size=40),
+    reduced_words,
+    st.builds(lambda w, k, ch: w[:k] + ch + w[k:], reduced_words,
+              st.integers(0, 60), st.sampled_from("1 xA\u00e9")),
+)
 
 
 @st.composite
@@ -82,10 +94,7 @@ class TestParse:
         with pytest.raises(InvalidCharacter):
             parse("a b")
 
-    @given(st.one_of(st.text(alphabet="abcd1 xA\u00e9\u03b1\u0430", max_size=40),
-                     reduced_words,
-                     st.builds(lambda w, k, ch: w[:k] + ch + w[k:], reduced_words,
-                               st.integers(0, 60), st.sampled_from("1 xA\u00e9"))))
+    @given(parse_texts)
     def test_agrees_with_checked_path(self, text):
         # Reduced text returns early; everything else must behave exactly
         # as the validate-then-reduce path, error message included.
@@ -118,6 +127,34 @@ class TestParse:
     def test_rejects_non_str(self, text):
         with pytest.raises(InvalidCharacter):
             parse(text)
+
+    # Lists for parse_all's one check of the joined items: texts from the
+    # property above, items holding the join's "|", and items of another
+    # type or a str subclass.
+    @given(st.lists(st.one_of(
+        parse_texts,
+        st.builds(lambda w, k: w[:k] + "|" + w[k:], reduced_words, st.integers(0, 60)),
+        st.sampled_from([b"ab", b"", 5, None, ["a"], _Text("ab")]),
+    ), max_size=6))
+    def test_parse_all_agrees_with_parse(self, texts):
+        try:
+            want = [parse(t) for t in texts]
+        except InvalidCharacter as exc:
+            for call in (parse_all, solve):
+                with pytest.raises(InvalidCharacter) as got:
+                    call(texts)
+                assert str(got.value) == str(exc)
+        else:
+            assert parse_all(texts) == want
+            res = solve(texts)
+            assert res.inputs == want
+            assert res.per_input() == solve(want).per_input()
+
+    def test_parse_all_returns_reduced_words_as_is(self, rng):
+        texts = [rand_reduced(n, rng) for n in (0, 1, 2, 7, 50, 2000)]
+        got = parse_all(iter(texts))
+        assert got == texts and all(g is t for g, t in zip(got, texts))
+        assert parse_all([]) == []
 
 
 class TestReduce:
