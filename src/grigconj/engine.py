@@ -69,7 +69,7 @@ from .quotient import (
     q_odd_cosets,
     relative,
 )
-from .words import parse_all, split_level
+from .words import parse, split_level
 
 ROW_CAPACITY = 256
 
@@ -116,6 +116,23 @@ class WordRecord:
         return f"WordRecord({self.word!r}, rep={rep!r})"
 
 
+def _row_key(rec: WordRecord):
+    """The key of ``rec``'s row and the charge of one access to it.
+
+    An odd word's key is the representative record of its product word;
+    an even word's is the pair of its sections' representatives, in the
+    order of their words, so that a conjugator that swaps the sections
+    finds the same row.  The access charges the letters of the key's
+    representatives, plus 1.  ``rec``'s children must have
+    representatives."""
+    if rec.even:
+        r0, r1 = rec.child0.rep, rec.child1.rep
+        charge = len(r0.word) + len(r1.word) + 1
+        return ((r1, r0) if r1.word < r0.word else (r0, r1)), charge
+    key = rec.child.rep
+    return key, len(key.word) + 1
+
+
 class ConjTable:
     """Conjugacy table plus the word universe and instrumentation."""
 
@@ -140,14 +157,10 @@ class ConjTable:
             rec.rep = rec
             rec.q_to_rep = base_q()[rec.word]
         for rec in seeds:
-            if rec.even:
-                r0, r1 = rec.child0.rep, rec.child1.rep
-                key = (r1, r0) if r1.word < r0.word else (r0, r1)
-                self.ops += len(r0.word) + len(r1.word) + 1
-            else:
+            if not rec.even:
                 rec.coset0()
-                key = rec.child.rep
-                self.ops += len(key.word) + 1
+            key, charge = _row_key(rec)
+            self.ops += charge
             self.lambda2[key] = [rec]
 
     # -- Q-set transport ----------------------------------------------------
@@ -191,14 +204,14 @@ class ConjTable:
         for cur in reversed(chain):
             if cur.rep is not None:
                 continue
+            key, charge = _row_key(cur)
+            ops += charge + len(cur.word) + 2
+            row = self.lambda2.setdefault(key, [])
+            row.append(cur)
             if cur.even:
                 c0, c1 = cur.child0, cur.child1
                 r0, r1 = c0.rep, c1.rep
                 q0, q1 = c0.q_to_rep, c1.q_to_rep
-                key = (r1, r0) if r1.word < r0.word else (r0, r1)
-                ops += len(r0.word) + len(r1.word) + len(cur.word) + 3
-                row = self.lambda2.setdefault(key, [])
-                row.append(cur)
                 for other in row:
                     # The members' sections have the key's representatives,
                     # so they pair with c0, c1 directly, crosswise, or both
@@ -216,12 +229,7 @@ class ConjTable:
                     if q:
                         break
             else:
-                p = cur.child
-                key = p.rep
-                qp, cu1 = p.q_to_rep, cur.oc1
-                ops += len(key.word) + len(cur.word) + 3
-                row = self.lambda2.setdefault(key, [])
-                row.append(cur)
+                qp, cu1 = cur.child.q_to_rep, cur.oc1
                 for other in row:
                     if other is cur:
                         cur.coset0()
@@ -343,7 +351,7 @@ def collect_universe(inputs, table: ConjTable) -> list:
 
 def solve(inputs) -> SolveResult:
     """Process all inputs (and their splitting trees) into one table."""
-    inputs = parse_all(inputs)
+    inputs = [parse(w) for w in inputs]
     table = ConjTable()
     for rec in collect_universe(inputs, table):
         if rec.rep is None:

@@ -271,13 +271,14 @@ class _Searcher:
 
         The sections, product words, section cosets and Q-sets are the
         ones the solve stored; a first section coset the solve left
-        unwalked is walked on its first read (``WordRecord.coset0``).  The witnesses come from ``quotient``'s
-        tables, ``even_witnesses`` or ``odd_witnesses``, filtered by the
-        Q-sets of the sections or of the product.  Each is found through
-        the memo, and the one with the shortest sub-conjugators is lifted;
-        ties go to the first in coset order.  The cosets of the words
-        lifted follow from the witness by the quotient tables, so no word
-        is walked for its coset before the lift.
+        unwalked is walked on its first read (``WordRecord.coset0``).  The
+        witnesses come from ``quotient``'s tables, ``even_witnesses`` or
+        ``odd_witnesses``, filtered by the Q-sets of the sections or of
+        the product.  Each is found through the memo, and the one with the
+        shortest sub-conjugators is lifted; ties go to the first in coset
+        order.  The cosets of the words lifted follow from the witness by
+        the quotient tables, so no word is walked for its coset before the
+        lift.
         """
         t = self.t
         if u in _BASE_WORDS and v in _BASE_WORDS:

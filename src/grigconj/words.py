@@ -12,8 +12,7 @@ reduced, where only the letters at the junction can cancel or merge.
 :func:`parse` returns text that is already a reduced word as is, after
 one :func:`is_reduced` check (two slices and two C-level ``strip`` calls,
 which also prove every letter is in "abcd"); any other text is validated
-and reduced.  :func:`parse_all` checks a whole list of texts in one pass
-over their join, and falls back to :func:`parse` per item.
+and reduced.
 
 The letter kernel works on star runs, not letters.  The stars ``b, c, d``
 with the identity form the Klein four-group: coded b=1, c=2, d=3, the
@@ -272,36 +271,6 @@ def parse(text: str) -> str:
     if bad:
         raise InvalidCharacter(f"invalid symbol(s) {sorted(bad)} in {text!r}")
     return reduce(text)
-
-
-# parse_all's tags: a and "|" stay, each star becomes b, any other byte x.
-_TAGS = bytes(
-    ord("b") if ch in b"bcd" else ch if ch in b"a|" else ord("x") for ch in range(256)
-)
-
-
-def parse_all(texts) -> list:
-    """``[parse(t) for t in texts]``, with one check of the whole list.
-
-    When every item is a ``str``, the items joined by ``|`` are tagged
-    (see ``_TAGS``) in one pass; they are all reduced words exactly when
-    the tagged text holds no x, no aa and no bb, and one ``|`` between
-    each two items.  The list is then returned as is; anything else goes
-    through :func:`parse` item by item, with the same results and errors.
-    """
-    texts = list(texts)
-    if set(map(type, texts)) == {str}:
-        joined = "|".join(texts)
-        if joined.isascii():
-            tagged = joined.encode().translate(_TAGS)
-            if (
-                b"x" not in tagged
-                and b"aa" not in tagged
-                and b"bb" not in tagged
-                and tagged.count(b"|") == len(texts) - 1
-            ):
-                return texts
-    return [parse(t) for t in texts]
 
 
 def format_word(w: str) -> str:

@@ -21,7 +21,6 @@ from grigconj.words import (
     iter_reduced_words,
     norm,
     parse,
-    parse_all,
     phi_pair,
     product,
     reduce,
@@ -128,33 +127,25 @@ class TestParse:
         with pytest.raises(InvalidCharacter):
             parse(text)
 
-    # Lists for parse_all's one check of the joined items: texts from the
-    # property above, items holding the join's "|", and items of another
-    # type or a str subclass.
+    # solve parses its inputs as parse does: texts from the property
+    # above, items holding a "|", and items of another type or a str
+    # subclass.
     @given(st.lists(st.one_of(
         parse_texts,
         st.builds(lambda w, k: w[:k] + "|" + w[k:], reduced_words, st.integers(0, 60)),
         st.sampled_from([b"ab", b"", 5, None, ["a"], _Text("ab")]),
     ), max_size=6))
-    def test_parse_all_agrees_with_parse(self, texts):
+    def test_solve_agrees_with_parse(self, texts):
         try:
             want = [parse(t) for t in texts]
         except InvalidCharacter as exc:
-            for call in (parse_all, solve):
-                with pytest.raises(InvalidCharacter) as got:
-                    call(texts)
-                assert str(got.value) == str(exc)
+            with pytest.raises(InvalidCharacter) as got:
+                solve(texts)
+            assert str(got.value) == str(exc)
         else:
-            assert parse_all(texts) == want
             res = solve(texts)
             assert res.inputs == want
             assert res.per_input() == solve(want).per_input()
-
-    def test_parse_all_returns_reduced_words_as_is(self, rng):
-        texts = [rand_reduced(n, rng) for n in (0, 1, 2, 7, 50, 2000)]
-        got = parse_all(iter(texts))
-        assert got == texts and all(g is t for g, t in zip(got, texts))
-        assert parse_all([]) == []
 
 
 class TestReduce:
