@@ -1,11 +1,11 @@
 """Command-line frontend.
 
 Exit codes: 0 for YES/success, 1 for NO/absence, 2 for usage, parse, or
-I/O errors, 3 for a bad ``GRIG_MAX_DEPTH``, a quotient build that fails
-to certify, or any other exception (an internal invariant violation or
-a crash, reported as one ``error: internal: …`` line).  Identity
-elements print as "1" to match the input syntax.  The global ``--json``
-flag switches every command to a machine-readable single-object output.
+I/O errors, 3 for any other exception (an internal invariant violation,
+a quotient build that fails to certify, or a crash, reported as one
+``error: internal: …`` line).  Identity elements print as "1" to match
+the input syntax.  The global ``--json`` flag switches every command to
+a machine-readable single-object output.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def _read_words_file(path: str) -> list:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            out.append(words.parse(line))
+            out.append(line)
     return out
 
 
@@ -269,9 +269,6 @@ def run(argv=None) -> int:
     except (words.InvalidCharacter, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (quotient.ConfigError, quotient.BuildDivergence) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:
         # Anything else is a fault inside the library (an invariant
         # violation, or a crash); it must not reach the exit codes 0/1,

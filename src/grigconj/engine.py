@@ -54,8 +54,7 @@ two cosets it reads.  ``ops`` charges 16 and 256 whether a cache hits or
 not, so it counts the algorithm's work and not the cache's.
 
 ``shortlex_order`` orders the universe with O(L log m) character
-comparisons in C (L universe letters, m universe words), against the
-linear bucket pass of the prefix-tree sort it replaced.  The sort is not
+comparisons in C (L universe letters, m universe words).  The sort is not
 in ``ops``.
 """
 

@@ -39,13 +39,17 @@ lazily from the same ``lift_set_product`` and ``shift_a``.
 from __future__ import annotations
 
 import functools
-import os
 import threading
 
 from .words import equal, inverse, iter_reduced_words, product
 
 FULL_MASK = 0xFFFF
 IDENTITY_COSET = 0
+
+# The build certifies at depth 3 and finds every base Q-set witness by
+# length 4: the caps only stop a broken build.
+_MAX_DEPTH = 8
+_MAX_WITNESS_LEN = 24
 
 # Generators of the level-1 stabilizer with their section words.
 _ST1_GENERATORS = (
@@ -60,10 +64,6 @@ _ST1_GENERATORS = (
 
 class BuildDivergence(RuntimeError):
     """Quotient index failed to reach 16 within the depth cap."""
-
-
-class ConfigError(ValueError):
-    """GRIG_MAX_DEPTH is not an integer >= 1."""
 
 
 class SandwichGap(RuntimeError):
@@ -305,7 +305,7 @@ def _normal_closure_of(elem: tuple, gens: list) -> set:
     return _closure([tuple(range(len(elem)))], lambda x: [_compose(x, y) for y in orbit])
 
 
-def build_quotient(max_depth: int | None = None) -> QuotientTables:
+def build_quotient() -> QuotientTables:
     """Derive all quotient tables from scratch.
 
     Generators are truncated at increasing depth until the index of the
@@ -314,17 +314,12 @@ def build_quotient(max_depth: int | None = None) -> QuotientTables:
     certifies that the level stabilizer lies inside K and the finite
     computation is exact from that depth on.
     """
-    if max_depth is None:
-        raw = os.environ.get("GRIG_MAX_DEPTH", "8")
-        max_depth = int(raw) if raw.strip().isdecimal() else 0
-        if max_depth < 1:
-            raise ConfigError(f"GRIG_MAX_DEPTH must be an integer >= 1, got {raw!r}")
-    for depth in range(1, max_depth + 1):
+    for depth in range(1, _MAX_DEPTH + 1):
         tables = _tables_from_group(depth)
         if tables is not None:
             return tables
     raise BuildDivergence(
-        f"index did not reach 16 by depth {max_depth}; the build is broken"
+        f"index did not reach 16 by depth {_MAX_DEPTH}; the build is broken"
     )
 
 
@@ -398,7 +393,7 @@ def base_q() -> dict:
     return derive_base_q()
 
 
-def derive_base_q(max_witness_len: int = 24) -> dict:
+def derive_base_q() -> dict:
     """Certified Q-sets of the five one-letter words.
 
     Q(1,1) is everything, and Q(a,a) follows directly from the odd
@@ -424,7 +419,7 @@ def derive_base_q(max_witness_len: int = 24) -> dict:
 
     lower = {g: 0 for g in "abcd"}
     done = False
-    for x in iter_reduced_words(max_witness_len):
+    for x in iter_reduced_words(_MAX_WITNESS_LEN):
         xi = inverse(x)
         cx = coset(x)
         for g in "abcd":
@@ -437,7 +432,7 @@ def derive_base_q(max_witness_len: int = 24) -> dict:
             break
     if not done:
         gaps = {g: upper[g] & ~lower[g] for g in "abcd" if upper[g] != lower[g]}
-        raise SandwichGap(f"unwitnessed cosets after length {max_witness_len}: {gaps}")
+        raise SandwichGap(f"unwitnessed cosets after length {_MAX_WITNESS_LEN}: {gaps}")
     return upper
 
 

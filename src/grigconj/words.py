@@ -435,16 +435,16 @@ def iter_reduced_words(max_len: int):
         frontier = nxt
 
 
-def norm9_universe(weights: NormWeights = EXACT_WEIGHTS, max_len: int = 13):
+def norm9_universe(weights: NormWeights = EXACT_WEIGHTS):
     """All reduced words of norm < 9, in shortlex order.
 
     Weights are positive, so the norm grows strictly along prefixes and a
-    breadth-first extension with pruning is exhaustive.  The length cap is
-    a guard: norm < 9 already forces length < 9/0.7.
+    breadth-first extension with pruning is exhaustive; it ends because
+    norm < 9 forces length < 9/0.7.
     """
     out = [""]
     frontier = [""]
-    for _ in range(max_len):
+    while frontier:
         nxt = []
         for w in frontier:
             for ch in _extensions(w):
@@ -453,7 +453,5 @@ def norm9_universe(weights: NormWeights = EXACT_WEIGHTS, max_len: int = 13):
                     nxt.append(e)
         nxt.sort()
         out.extend(nxt)
-        if not nxt:
-            break
         frontier = nxt
     return out

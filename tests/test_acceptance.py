@@ -101,7 +101,7 @@ def test_criterion_2_quotient_certification():
 def test_criterion_3_base_q_sandwich():
     # derive_base_q raises SandwichGap if the bounds never meet; rerun it
     # and additionally confirm each coset with an explicit short witness.
-    derived = derive_base_q(max_witness_len=24)
+    derived = derive_base_q()
     assert derived == base_q()
     for g in "abcd":
         q = base_q()[g]

@@ -98,6 +98,15 @@ class TestPairsCommand:
             assert len(lines) == 1 and lines[0].startswith("error: ")
             assert "utf-8" in lines[0]
 
+    def test_bad_letter_is_an_error(self, tmp_path, capsys):
+        f = tmp_path / "words.txt"
+        f.write_text("b\nabx\naba\n")
+        for extra in ([], ["--json"]):
+            assert cli.run(extra + ["pairs", str(f)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == ["error: invalid symbol(s) ['x'] in 'abx'"]
+
 
 class TestConjugatorCommand:
     def test_finds_and_verifies(self, capsys):
@@ -191,21 +200,6 @@ class TestQuotientDump:
         assert payload["base_q"]["1"] == list(range(16))
 
 
-class TestConfigurationErrors:
-    @pytest.mark.parametrize(
-        "raw, message",
-        [("x", "error: GRIG_MAX_DEPTH"), ("1", "error: index did not reach 16")],
-    )
-    def test_exit_three_with_one_line(self, monkeypatch, capsys, raw, message):
-        monkeypatch.setattr(quotient, "_TABLES", None)
-        monkeypatch.setenv("GRIG_MAX_DEPTH", raw)
-        assert cli.run(["conj", "b", "aba"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(message)
-        assert len(captured.err.splitlines()) == 1
-
-
 class TestInternalErrors:
     @pytest.mark.parametrize(
         "exc",
@@ -240,37 +234,53 @@ class TestInternalErrors:
         assert captured.err.startswith("error: internal: ")
         assert len(captured.err.splitlines()) == 1
 
+    def test_build_divergence(self, monkeypatch, capsys):
+        # The build's depth cap is fixed, so a build that fails to certify
+        # is a fault in the code.
+        monkeypatch.setattr(quotient, "_TABLES", None)
+        monkeypatch.setattr(quotient, "_MAX_DEPTH", 1)
+        assert cli.run(["conj", "b", "aba"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal: BuildDivergence: index did not reach 16")
+        assert len(captured.err.splitlines()) == 1
 
-def run_module(argv, max_depth=None):
-    """``python -m grigconj`` in a fresh process, with GRIG_MAX_DEPTH set
-    to ``max_depth`` or unset."""
+
+def run_python(*args):
+    """``python`` with ``args`` in a fresh process that imports this
+    package from the tree under test."""
     src = os.path.dirname(os.path.dirname(grigconj.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    env.pop("GRIG_MAX_DEPTH", None)
-    if max_depth is not None:
-        env["GRIG_MAX_DEPTH"] = max_depth
     return subprocess.run(
-        [sys.executable, "-m", "grigconj", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
     )
 
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
-        proc = run_module(["conj", "b", "aba"])
+        proc = run_python("-m", "grigconj", "conj", "b", "aba")
         assert proc.returncode == 0
         assert proc.stdout == "YES\n"
 
-    @pytest.mark.parametrize(
-        "raw, message",
-        [("x", "error: GRIG_MAX_DEPTH"), ("1", "error: index did not reach 16")],
-    )
-    def test_bad_configuration_in_a_fresh_process(self, raw, message):
+    def test_grig_max_depth_is_ignored(self, monkeypatch):
+        # The build's depth cap is a constant: no environment variable
+        # sets it.
+        monkeypatch.setenv("GRIG_MAX_DEPTH", "x")
+        proc = run_python("-m", "grigconj", "conj", "b", "aba")
+        assert proc.returncode == 0
+        assert proc.stdout == "YES\n"
+
+    def test_build_divergence_in_a_fresh_process(self):
         # No table or cache exists yet: the first build runs from inside
         # the first solve.
-        proc = run_module(["conj", "b", "aba"], max_depth=raw)
+        proc = run_python(
+            "-c",
+            "import sys; from grigconj import cli, quotient; quotient._MAX_DEPTH = 1; "
+            "sys.exit(cli.run(sys.argv[1:]))",
+            "conj", "b", "aba",
+        )
         assert proc.returncode == 3
         assert proc.stdout == ""
-        assert proc.stderr.startswith(message)
+        assert proc.stderr.startswith("error: internal: BuildDivergence: ")
         assert len(proc.stderr.splitlines()) == 1

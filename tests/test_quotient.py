@@ -11,7 +11,6 @@ from grigconj.quotient import (
     FULL_MASK,
     IDENTITY_COSET,
     BuildDivergence,
-    ConfigError,
     QuotientTables,
     base_q,
     build_quotient,
@@ -47,21 +46,9 @@ class TestBuild:
     def test_certifies_at_depth_three(self, tables):
         assert tables.stabilizer_depth == 3
 
-    def test_divergence_below_certification_depth(self):
-        with pytest.raises(BuildDivergence):
-            build_quotient(max_depth=2)
-
-    def test_depth_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("GRIG_MAX_DEPTH", "2")
-        with pytest.raises(BuildDivergence):
-            build_quotient()
-        monkeypatch.setenv("GRIG_MAX_DEPTH", "5")
-        assert build_quotient().stabilizer_depth == 3
-
-    @pytest.mark.parametrize("raw", ["x", "", "0", "-1", "2.5"])
-    def test_depth_cap_env_rejects_bad_values(self, monkeypatch, raw):
-        monkeypatch.setenv("GRIG_MAX_DEPTH", raw)
-        with pytest.raises(ConfigError, match="GRIG_MAX_DEPTH"):
+    def test_divergence_below_certification_depth(self, monkeypatch):
+        monkeypatch.setattr(quotient, "_MAX_DEPTH", 2)
+        with pytest.raises(BuildDivergence, match="by depth 2"):
             build_quotient()
 
     def test_tables_compare_by_identity(self, tables):

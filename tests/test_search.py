@@ -684,7 +684,6 @@ class TestBaseTableCompleteness:
         digests = set()
         for seed in ("0", "1"):
             env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
-            env.pop("GRIG_MAX_DEPTH", None)
             proc = subprocess.run(
                 [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
             )
@@ -731,7 +730,6 @@ class TestOnDemandBaseTable:
             "print(len(search.get_base_table()), search._BASE._open is None)"
         )
         env = dict(os.environ, PYTHONPATH=path)
-        env.pop("GRIG_MAX_DEPTH", None)
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
         )
