@@ -48,12 +48,11 @@ def _cmd_equal(args) -> int:
 
 
 def _cmd_conj(args) -> int:
-    u, v = words.parse(args.word1), words.parse(args.word2)
-    res = engine.solve([u, v])
-    conj = res.record(u).rep is res.record(v).rep
+    q = engine.q_set(args.word1, args.word2)
+    conj = q != 0
     payload = {"conjugate": conj}
     if conj:
-        payload["q_set"] = quotient.mask_cosets(res.q_set(u, v))
+        payload["q_set"] = quotient.mask_cosets(q)
     _emit(args, payload, ["YES" if conj else "NO"])
     return 0 if conj else 1
 
@@ -145,11 +144,10 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_table9(args) -> int:
-    weights = words.TABULATED_WEIGHTS
     rows = []
-    for w in words.norm9_universe(weights):
+    for w in words.norm9_universe():
         kids = ",".join(words.format_word(c) for c in words.split_children(w))
-        rows.append((words.format_word(w), words.norm(w, weights), kids))
+        rows.append((words.format_word(w), words.norm(w, words.TABULATED_WEIGHTS), kids))
     if args.json:
         print(
             json.dumps(

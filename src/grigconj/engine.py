@@ -143,7 +143,8 @@ class ConjTable:
 
     @property
     def rows(self) -> list:
-        """The member lists of all rows, in creation order."""
+        """The member lists of all rows, in creation order (the benchmark's
+        ``engine.rows`` count reads it)."""
         return list(self.lambda2.values())
 
     # -- seeding -----------------------------------------------------------
@@ -359,8 +360,9 @@ def solve(inputs) -> SolveResult:
 
 
 def are_conjugate(u: str, v: str) -> bool:
-    res = solve([u, v])
-    return res.record(res.inputs[0]).rep is res.record(res.inputs[1]).rep
+    """Whether u and v are conjugate: Q(u, v) is non-empty exactly when
+    they share a representative, as every ``q_to_rep`` holds a coset."""
+    return q_set(u, v) != 0
 
 
 def q_set(u: str, v: str) -> int:

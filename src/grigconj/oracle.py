@@ -16,8 +16,6 @@ code; the tests check the formulas against those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .quotient import (
     base_q,
     generator_leaf_perms,
@@ -45,14 +43,17 @@ def sufficient_depth(total_len: int) -> int:
 
 _ACTIONS: dict = {}
 
+# The deepest level word_equal_oracle acts on: 2^26 leaves.
+_MAX_DEPTH = 26
 
-@dataclass
+
 class DepthAction:
     """Action of the generators on the leaves of the depth-n tree."""
 
-    depth: int
-    perms: dict
-    _cache: dict = field(default_factory=dict, repr=False)
+    def __init__(self, depth: int, perms: dict):
+        self.depth = depth
+        self.perms = perms
+        self._cache = {}
 
     @classmethod
     def at_depth(cls, depth: int) -> "DepthAction":
@@ -72,17 +73,17 @@ class DepthAction:
         return cur
 
 
-def word_equal_oracle(u: str, v: str, max_depth: int = 26) -> bool:
+def word_equal_oracle(u: str, v: str) -> bool:
     """Equality in the group via the finite-depth action.
 
     Disagreement at any depth proves inequality; agreement is conclusive
-    only at a depth sufficient for the combined length, so the cap must
-    not undercut it.
+    only at a depth sufficient for the combined length, so words that
+    need a level deeper than ``_MAX_DEPTH`` raise ``ValueError``.
     """
     need = sufficient_depth(len(u) + len(v))
-    if need > max_depth:
+    if need > _MAX_DEPTH:
         raise ValueError(
-            f"depth {need} needed to certify words of this length, cap is {max_depth}"
+            f"depth {need} needed to certify words of this length, cap is {_MAX_DEPTH}"
         )
     act = DepthAction.at_depth(need)
     return act.word_perm(u) == act.word_perm(v)

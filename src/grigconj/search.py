@@ -157,6 +157,8 @@ def _check_lift(x0: str, x1: str, x: str) -> None:
 # read from the base table.  The set is closed under splitting, so the
 # search recursion can only bottom out inside it.
 _BASE_WORDS = frozenset(norm9_universe())
+# The length cap of a base-table witness; the longest of the 2928 slots' is 12.
+_BASE_MAX_LEN = 24
 
 
 def _base_words() -> dict:
@@ -170,17 +172,19 @@ def _base_words() -> dict:
     return {v: (members, solved) for members in classes.values() for v in members}
 
 
-def _fill_word(v: str, members: list, solved, slots: dict, max_len: int = 24) -> None:
+def _fill_word(v: str, members: list, solved, slots: dict) -> None:
     """Fill into ``slots`` each slot (u, v, g) of the word v, for u in its
     class ``members`` and g in Q(u, v): the first x in shortlex order in
-    coset g with red(x^-1 v x) equal to u, literally or in the group."""
+    coset g with red(x^-1 v x) equal to u, literally or in the group.
+    Raises ``BaseIncomplete`` if a slot has no such x of at most
+    ``_BASE_MAX_LEN`` letters."""
     # The open slots of v by coset, each an insertion-ordered dict of
     # words, so the slots fill in the same order in every run.
     by_coset: dict = {}
     for u in members:
         for g in mask_cosets(solved.q_set(u, v)):
             by_coset.setdefault(g, {})[u] = None
-    for x in iter_reduced_words(max_len):
+    for x in iter_reduced_words(_BASE_MAX_LEN):
         if not by_coset:
             break
         cx = coset(x)
@@ -196,7 +200,7 @@ def _fill_word(v: str, members: list, solved, slots: dict, max_len: int = 24) ->
             del by_coset[cx]
     if by_coset:
         raise BaseIncomplete(
-            f"slots for {v!r} unwitnessed at length {max_len}: {sorted(by_coset)}"
+            f"slots for {v!r} unwitnessed at length {_BASE_MAX_LEN}: {sorted(by_coset)}"
         )
 
 

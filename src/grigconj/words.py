@@ -136,35 +136,16 @@ def _newton_alpha() -> float:
 ALPHA = _newton_alpha()
 
 
-class NormWeights(namedtuple("NormWeights", "gamma_a gamma_b gamma_c gamma_d")):
-    """Per-letter weights for the weighted length of a word."""
+# Per-letter weights for the weighted length of a word.
+NormWeights = namedtuple("NormWeights", "gamma_a gamma_b gamma_c gamma_d")
 
-    __slots__ = ()
-
-    @classmethod
-    def exact(cls) -> "NormWeights":
-        """Weights derived from the root alpha of 2x^3 - x^2 - x - 1."""
-        a2 = ALPHA * ALPHA
-        return cls(
-            gamma_a=a2 + ALPHA - 1.0,
-            gamma_b=2.0,
-            gamma_c=a2 - ALPHA + 1.0,
-            gamma_d=-a2 + ALPHA + 1.0,
-        )
-
-    @classmethod
-    def tabulated(cls) -> "NormWeights":
-        """Weights rounded to the display precision of the reference norm table.
-
-        The frozen small-norm table was generated with these rounded values,
-        so reproducing its printed norms requires them; everything else in
-        the package uses :meth:`exact`.
-        """
-        return cls(gamma_a=1.7559, gamma_b=2.0, gamma_c=1.288, gamma_d=0.712)
-
-
-EXACT_WEIGHTS = NormWeights.exact()
-TABULATED_WEIGHTS = NormWeights.tabulated()
+# The weights derived from the root alpha of 2x^3 - x^2 - x - 1.
+_A2 = ALPHA * ALPHA
+EXACT_WEIGHTS = NormWeights(_A2 + ALPHA - 1.0, 2.0, _A2 - ALPHA + 1.0, -_A2 + ALPHA + 1.0)
+# The same weights rounded to the display precision of the reference norm
+# table: the frozen table was printed with them, so reproducing its norms
+# requires them; everything else in the package uses EXACT_WEIGHTS.
+TABULATED_WEIGHTS = NormWeights(1.7559, 2.0, 1.288, 0.712)
 
 
 def is_reduced(w: str) -> bool:
@@ -435,9 +416,11 @@ def iter_reduced_words(max_len: int):
         frontier = nxt
 
 
-def norm9_universe(weights: NormWeights = EXACT_WEIGHTS):
+def norm9_universe():
     """All reduced words of norm < 9, in shortlex order.
 
+    The norm is taken with ``EXACT_WEIGHTS``; ``TABULATED_WEIGHTS`` give
+    the same 100 words, so the reference table lists exactly these.
     Weights are positive, so the norm grows strictly along prefixes and a
     breadth-first extension with pruning is exhaustive; it ends because
     norm < 9 forces length < 9/0.7.
@@ -449,7 +432,7 @@ def norm9_universe(weights: NormWeights = EXACT_WEIGHTS):
         for w in frontier:
             for ch in _extensions(w):
                 e = w + ch
-                if norm(e, weights) < 9.0:
+                if norm(e) < 9.0:
                     nxt.append(e)
         nxt.sort()
         out.extend(nxt)

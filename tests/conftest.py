@@ -14,13 +14,13 @@ def tables():
     return quotient.get_tables()
 
 
-def full_base_table(max_len: int = 24) -> dict:
+def full_base_table() -> dict:
     """Every slot ``{(u, v, g): x}`` of the base conjugator table, word v
     by word v into a fresh dict: the values ``search.get_base_table()``
     fills on first use."""
     slots: dict = {}
     for v, job in search._base_words().items():
-        search._fill_word(v, *job, slots, max_len)
+        search._fill_word(v, *job, slots)
     return slots
 
 

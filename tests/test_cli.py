@@ -63,6 +63,12 @@ class TestJson:
         assert payload["conjugate"] is True
         assert isinstance(payload["q_set"], list)
 
+    def test_conj_json_no(self, capsys):
+        # A NO carries no q_set key: the payload is exactly this object.
+        code, lines = run_lines(capsys, "--json", "conj", "a", "b")
+        assert code == 1
+        assert lines == ['{"conjugate": false}']
+
     def test_table9_json(self, capsys):
         code, lines = run_lines(capsys, "--json", "table9")
         assert code == 0

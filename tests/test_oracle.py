@@ -40,9 +40,10 @@ class TestWordEqualOracle:
         assert not word_equal_oracle("a", "")
         assert word_equal_oracle("adadadad", "")
 
-    def test_depth_cap_guard(self):
+    def test_depth_cap_guard(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_DEPTH", 5)
         with pytest.raises(ValueError):
-            word_equal_oracle("ab" * 2000, "ba" * 2000, max_depth=5)
+            word_equal_oracle("ab" * 2000, "ba" * 2000)
 
     def test_sufficient_depth_monotone(self):
         assert sufficient_depth(1) >= 3

@@ -32,6 +32,14 @@ print(json.dumps({
 """
 
 
+_IMPORT_ORACLE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import grigconj.oracle
+print("dataclasses" in sys.modules)
+"""
+
+
 def test_import_builds_nothing():
     # A fresh interpreter without site packages: importing the package
     # loads no heavy standard-library module and fills no table.
@@ -42,3 +50,9 @@ def test_import_builds_nothing():
     )
     got = json.loads(done.stdout)
     assert got == {"modules": [], "tables_built": False, "base_slots": 0, "run_keys": ["|"]}
+    # Nor does the oracle the tests check the engine against.
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORT_ORACLE, src],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout == "False\n"

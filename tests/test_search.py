@@ -660,15 +660,17 @@ class TestSearchMemo:
 
 
 class TestBaseTableCompleteness:
-    def test_rebuild_with_tight_cap_is_complete(self):
+    def test_rebuild_with_tight_cap_is_complete(self, monkeypatch):
         # The standard build must not be anywhere near its length cap.
-        table = full_base_table(max_len=12)
+        monkeypatch.setattr(search_mod, "_BASE_MAX_LEN", 12)
+        table = full_base_table()
         assert len(table) > 0
 
-    def test_unreachable_cap_is_reported(self):
+    def test_unreachable_cap_is_reported(self, monkeypatch):
         # Length-1 witnesses cannot cover every slot.
+        monkeypatch.setattr(search_mod, "_BASE_MAX_LEN", 1)
         with pytest.raises(search_mod.BaseIncomplete):
-            full_base_table(max_len=1)
+            full_base_table()
 
 
     def test_insertion_order_is_independent_of_the_hash_seed(self):

@@ -253,8 +253,6 @@ class TestWeights:
             w.gamma_a = 0.5
         with pytest.raises(AttributeError):
             w.extra = 0.5
-        assert NormWeights.tabulated() == TABULATED_WEIGHTS
-        assert type(NormWeights.exact()) is NormWeights
 
     def test_triangle_inequality_among_star_weights(self):
         w = EXACT_WEIGHTS
