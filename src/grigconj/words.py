@@ -57,8 +57,10 @@ each padded with ``_`` so that its odd-parity stars fall on positions
 2 (mod 4) and ended with ``|``, and take one tag-and-translate step
 together.  The run products of all the sections of a map are then taken
 in one pass, with each ``|`` kept as a run of its own so that no run
-spans two words, and only the sections left with an identity run
-between two a's go through the stack pass, which ``reduce`` shares.
+spans two words, and one stack pass, the one ``reduce`` uses, reduces
+them all: it starts on a ``|`` sentinel and never cancels an identity
+run with a ``|`` just below or after it (a section's leading or trailing
+a), so each ``|`` is a barrier.
 
 All functions in this module are pure; strings are immutable, so values
 can be shared freely between threads (the section memo and the run
@@ -159,7 +161,8 @@ def reduce(letters: str) -> str:
 
     Each maximal run of stars becomes its Klein four-group product; a run
     that multiplies out to the identity between two a's cancels both and
-    merges its neighbours, on a stack (see the module docstring).  The
+    merges its neighbours, in the stack pass :func:`_cancel` (see the
+    module docstring), which is skipped when no such run is left.  The
     result is a word equal to the input in the group, with norm no larger
     than the input's.
     """
@@ -170,30 +173,37 @@ def reduce(letters: str) -> str:
     out = "a".join(codes)
     if "aa" not in out:
         return out
-    return _cancel(codes)
+    return "a".join(_cancel(codes))
 
 
-def _cancel(codes: list) -> str:
-    """The reduced form of ``"a".join(codes)``, for run products ``codes``
-    (each "", "b", "c" or "d"): every identity run between two a's cancels
-    them and merges its neighbours.  Consumes ``codes``."""
-    # Invariant: no identity run in ``stack`` except its bottom (a leading
-    # a) and its top, which cancels against the next run unless it is the
-    # bottom.  The runs up to the next identity run are pushed as one slice.
+def _cancel(codes: list) -> list:
+    """The reduced runs of ``"a".join(codes)``, for run products ``codes``
+    (each "", "b", "c", "d" or the barrier "|" between two sequences):
+    every identity run between two a's cancels them and merges its
+    neighbours, and nothing cancels across a ``|``.  Consumes ``codes``."""
+    # Invariant: no identity run in ``stack`` except next to a "|" (a
+    # sequence's leading or trailing a) and at its top, which cancels
+    # against the next run unless a "|" is below it or next.  The sentinel
+    # "|" at the bottom is dropped on return.  The runs up to the next
+    # identity run are pushed as one slice.
     n = len(codes)
     codes.append("")
-    stack = []
+    stack = ["|"]
     i = 0
     while True:
         j = codes.index("", i) + 1
         if j > n:
             stack += codes[i:n]
-            return "a".join(stack)
+            del stack[0]
+            return stack
         stack += codes[i:j]
         i = j
-        while i < n and not stack[-1] and len(stack) > 1:
+        while i < n and not stack[-1]:
+            below, nxt = stack[-2], codes[i]
+            if below == "|" or nxt == "|":
+                break
             stack.pop()
-            stack[-1] = _RUN[stack[-1] + codes[i]]
+            stack[-1] = _RUN[below + nxt]
             i += 1
 
 
@@ -320,8 +330,8 @@ def split_level(ws: list) -> list:
     reduced product ``y = s0·s1``.
 
     Even forms (``w`` or ``w·a``) of up to ``_MEMO_MAX_LEN`` letters go
-    through :func:`phi_pair`; the rest share one string pass per step
-    (see the module docstring).
+    through :func:`phi_pair`; the rest share one tag-and-translate step
+    and one stack pass per section map (see the module docstring).
     """
     out = []
     todo = []   # indices in out of the words split together
@@ -352,14 +362,13 @@ def split_level(ws: list) -> list:
 
 def _reduce_level(sections: str) -> list:
     """The reduced form of each ``|``-terminated letter sequence in
-    ``sections``, in order.  One run-product pass covers them all: each
-    ``|`` becomes a run of its own (``a|a``), so no run crosses two
-    sequences.  Only the sequences left with an identity run between two
-    a's go through the stack pass."""
-    runs = sections.replace("|", "a|a").split("a")
-    secs = "a".join(map(_RUN.__getitem__, runs)).split("a|a")
+    ``sections``, in order.  Each ``|`` becomes a run of its own
+    (``a|a``), so one run-product pass and one stack pass cover all the
+    sequences, and the stack pass cancels nothing across a ``|``."""
+    codes = list(map(_RUN.__getitem__, sections.replace("|", "a|a").split("a")))
+    secs = "a".join(_cancel(codes)).split("a|a")
     secs.pop()  # the empty tail after the last "|"
-    return [_cancel(s.split("a")) if "aa" in s else s for s in secs]
+    return secs
 
 
 def split_children(w: str) -> list[str]:

@@ -332,3 +332,76 @@ class TestSplitLevel:
         assert all("aa" in run_stage(w)[0] for w in ws[:2])
         check_level(ws)
         assert split_level(ws[:2]) == [("", "", None)] * 2
+
+
+def first_run_merged(raw):
+    """True when reducing ``raw`` merges its first run, a star, into a
+    later one: a cascade of the stack pass reaches the sequence's bottom."""
+    first = raw.split("a")[0]
+    return bool(first) and ref.reduce(raw).split("a")[0] != first
+
+
+level_sequences = st.lists(
+    st.one_of(
+        a_runs,
+        letters_any.map(lambda s: s[:40]),
+        st.sampled_from(["", "a", "aa", "b", "ab", "ba", "aba", "bacaacab"]),
+    ),
+    max_size=20,
+)
+
+
+class TestLevelBarriers:
+    """``_reduce_level`` runs one stack pass over all the sequences of a
+    level; each ``|`` between them must stop every cancellation, so each
+    sequence comes out as ``reduce`` makes it on its own."""
+
+    @staticmethod
+    def check(seqs):
+        got = words._reduce_level("".join(s + "|" for s in seqs))
+        assert got == [reduce(s) for s in seqs] == [ref.reduce(s) for s in seqs]
+
+    def test_trailing_a_meets_leading_a(self):
+        # Without the barrier each "a|a" would cancel as an "aa".
+        seqs = ["ba", "aca", "aba", "aadaca", "acaa", "ab"]
+        assert all(s[-1:] == "a" == t[:1] for s, t in zip(seqs, seqs[1:]))
+        self.check(seqs)
+        self.check(seqs[1:])
+
+    def test_empty_sequences_and_lone_a(self):
+        self.check([""])
+        self.check(["a"])
+        self.check(["", "a", "", "", "a", "a", "b", "", "aa", "aaa", "a"])
+
+    def test_sequences_that_cancel_to_the_empty_word(self):
+        seqs = ["bb", "ab", "abba", "ba", "bacaacab", "aca", "bcd", "a", "dacaacad", "b"]
+        assert [ref.reduce(s) for s in seqs][::2] == [""] * 5
+        self.check(seqs)
+        self.check(seqs[::2])
+
+    def test_cascades_reach_the_first_run(self):
+        seqs = ["b", "bacaacab", "ca", "bacaacabab", "d", "caab", "baad",
+                "aca", "dacaacadb", "bacaacadb", "abaab"]
+        assert sum(map(first_run_merged, seqs)) >= 6
+        self.check(seqs)
+        self.check(seqs[1:])
+
+    @given(level_sequences)
+    def test_matches_per_sequence_reduce(self, seqs):
+        self.check(seqs)
+
+    def test_split_level_across_section_barriers(self):
+        # Long words chosen so that the level's section buffers hold each
+        # barrier case; the asserts show they do.
+        ws = ["dadadabacadab", "cadacacabacab", "bacacabacadac", "dadadabacadab",
+              "badadacadabac", "dadabadadadab", "dabadadadacac",
+              "acadababadabacad", "dabacadadadabad"]
+        secs = [reference_split(w)[:2] for w in ws]
+        for k in (0, 1):
+            col = [s[k] for s in secs]
+            assert any(s[-1:] == "a" == t[:1] for s, t in zip(col, col[1:]))
+            assert "" in col and "a" in col
+            assert any(first_run_merged(run_stage(w)[k]) for w in ws)
+        assert all(len(product(w, "a") if a_parity(w) else w) > words._MEMO_MAX_LEN for w in ws)
+        check_level(ws)
+        check_level(ws[::-1])
