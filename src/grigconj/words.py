@@ -22,9 +22,7 @@ each run by its product (a dict lookup for runs of up to
 beyond).  What is left is reduced except where a run multiplied out to
 the identity between two a's; one stack pass cancels those a's and
 merges the runs on either side.  Every run is pushed and popped at most
-once, so the pass is linear, and the runs between two identity runs are
-pushed as one slice, so the Python-level work is one step per identity
-run and per merge it sets off.
+once, so the pass is linear: one loop step per run.
 
 Both level-1 sections of a word come from one tag-and-translate step,
 :func:`_translate`.  In a reduced word the stars sit at positions of one
@@ -162,49 +160,35 @@ def reduce(letters: str) -> str:
     Each maximal run of stars becomes its Klein four-group product; a run
     that multiplies out to the identity between two a's cancels both and
     merges its neighbours, in the stack pass :func:`_cancel` (see the
-    module docstring), which is skipped when no such run is left.  The
+    module docstring), which is skipped when no ``"aa"`` is left.  The
     result is a word equal to the input in the group, with norm no larger
     than the input's.
     """
-    runs = letters.split("a")
-    if len(runs) == 1:
-        return _RUN[letters]
-    codes = list(map(_RUN.__getitem__, runs))
+    codes = list(map(_RUN.__getitem__, letters.split("a")))
     out = "a".join(codes)
     if "aa" not in out:
         return out
     return "a".join(_cancel(codes))
 
 
-def _cancel(codes: list) -> list:
-    """The reduced runs of ``"a".join(codes)``, for run products ``codes``
-    (each "", "b", "c", "d" or the barrier "|" between two sequences):
-    every identity run between two a's cancels them and merges its
-    neighbours, and nothing cancels across a ``|``.  Consumes ``codes``."""
+def _cancel(codes) -> list:
+    """The reduced runs of ``"a".join(codes)``, for an iterable of run
+    products ``codes`` (each "", "b", "c", "d" or the barrier "|" between
+    two sequences): every identity run between two a's cancels them and
+    merges its neighbours, and nothing cancels across a ``|``."""
     # Invariant: no identity run in ``stack`` except next to a "|" (a
     # sequence's leading or trailing a) and at its top, which cancels
     # against the next run unless a "|" is below it or next.  The sentinel
-    # "|" at the bottom is dropped on return.  The runs up to the next
-    # identity run are pushed as one slice.
-    n = len(codes)
-    codes.append("")
+    # "|" at the bottom is dropped on return.
     stack = ["|"]
-    i = 0
-    while True:
-        j = codes.index("", i) + 1
-        if j > n:
-            stack += codes[i:n]
-            del stack[0]
-            return stack
-        stack += codes[i:j]
-        i = j
-        while i < n and not stack[-1]:
-            below, nxt = stack[-2], codes[i]
-            if below == "|" or nxt == "|":
-                break
+    for nxt in codes:
+        if not stack[-1] and nxt != "|" and stack[-2] != "|":
             stack.pop()
-            stack[-1] = _RUN[below + nxt]
-            i += 1
+            stack[-1] = _RUN[stack[-1] + nxt]
+        else:
+            stack.append(nxt)
+    del stack[0]
+    return stack
 
 
 def product(u: str, v: str) -> str:
@@ -363,10 +347,10 @@ def split_level(ws: list) -> list:
 def _reduce_level(sections: str) -> list:
     """The reduced form of each ``|``-terminated letter sequence in
     ``sections``, in order.  Each ``|`` becomes a run of its own
-    (``a|a``), so one run-product pass and one stack pass cover all the
-    sequences, and the stack pass cancels nothing across a ``|``."""
-    codes = list(map(_RUN.__getitem__, sections.replace("|", "a|a").split("a")))
-    secs = "a".join(_cancel(codes)).split("a|a")
+    (``a|a``), and the run products go straight into one stack pass over
+    all the sequences, which cancels nothing across a ``|``."""
+    runs = sections.replace("|", "a|a").split("a")
+    secs = "a".join(_cancel(map(_RUN.__getitem__, runs))).split("a|a")
     secs.pop()  # the empty tail after the last "|"
     return secs
 
@@ -419,7 +403,6 @@ def iter_reduced_words(max_len: int):
         for w in frontier:
             for ch in _extensions(w):
                 nxt.append(w + ch)
-        nxt.sort()
         for w in nxt:
             yield w
         frontier = nxt
@@ -443,7 +426,6 @@ def norm9_universe():
                 e = w + ch
                 if norm(e) < 9.0:
                     nxt.append(e)
-        nxt.sort()
         out.extend(nxt)
         frontier = nxt
     return out

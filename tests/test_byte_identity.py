@@ -1,10 +1,12 @@
-"""Pinned outputs of the benchmark's seeded batch inputs.
+"""Pinned outputs: the benchmark's seeded inputs, the base conjugator
+table and the command line's table dumps.
 
-The inputs are the ones ``bench/workloads.py``'s ``make_inputs`` builds for
-seed 1: its word generator and its conjugation are imported from
-``bench/letters.py``, read only, and the few lines that draw and shuffle
-the list are copied below.  A change to any output of these solves shows
-here as a changed digest or operation count.
+The inputs are the ones ``bench/workloads.py``'s ``make_inputs`` builds:
+its word generator and its conjugation are imported from
+``bench/letters.py``, read only, and the few lines that draw (and for the
+batches shuffle) the list are copied below.  A change to any output pinned
+here shows as a changed digest (the first 16 hex digits of a sha256) or
+operation count.
 """
 
 import hashlib
@@ -14,13 +16,19 @@ from pathlib import Path
 
 import pytest
 
+from grigconj import cli
 from grigconj.engine import solve
+from grigconj.search import find_conjugator
 
 _spec = importlib.util.spec_from_file_location(
     "bench_letters", Path(__file__).resolve().parents[1] / "bench" / "letters.py"
 )
 bench_letters = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_letters)
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def batch_inputs(seed, words, length, planted, x_length):
@@ -37,19 +45,63 @@ def batch_inputs(seed, words, length, planted, x_length):
     return [out[i] for i in order]
 
 
+def conjugator_inputs(seed, pairs=600, length=200, x_length=60):
+    """``make_inputs("conjugator", seed, sizes).words`` as (u, v) pairs:
+    word 2k is v and word 2k + 1 is u = x^-1 v x."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(pairs):
+        v = bench_letters.random_word(rng, length)
+        out.append((bench_letters.conjugate(v, bench_letters.random_word(rng, x_length)), v))
+    return out
+
+
 class TestBenchBatches:
     @pytest.mark.parametrize(
-        "sizes,digest,ops",
+        "sizes,expect,ops",
         [
             pytest.param((50, 2000, 5, 60), "b9eb520616bb11b9", 1_346_152, id="batch-long"),
             pytest.param((2000, 50, 0, 0), "78ea3a6e8652782f", 3_207_928, id="batch-short"),
         ],
     )
-    def test_seed_1_outputs(self, sizes, digest, ops):
+    def test_seed_1_outputs(self, sizes, expect, ops):
         count, length, planted, _ = sizes
         ws = batch_inputs(1, *sizes)
         assert len(ws) == count
         assert sum(len(w) == length for w in ws) >= count - planted
         res = solve(ws)
-        got = hashlib.sha256(repr(res.per_input()).encode()).hexdigest()[:16]
-        assert (got, res.ops) == (digest, ops)
+        assert (digest(repr(res.per_input())), res.ops) == (expect, ops)
+
+
+class TestConjugators:
+    @pytest.mark.parametrize(
+        "seed,expect",
+        [
+            pytest.param(1, "3069ac42548982ce", id="seed-1"),
+            pytest.param(7, "f8773045192b4cff", id="seed-7"),
+            pytest.param(21, "3e1bb13b1d0593fc", id="seed-21"),
+        ],
+    )
+    def test_600_planted_pairs(self, seed, expect):
+        pairs = conjugator_inputs(seed)
+        assert len(pairs) == 600
+        assert digest(repr([find_conjugator(u, v) for u, v in pairs])) == expect
+
+    def test_sorted_base_table(self, base_table):
+        assert len(base_table) == 2928
+        assert digest(repr(sorted(base_table.items()))) == "d734e5771c179574"
+
+
+class TestCommandLineDumps:
+    @pytest.mark.parametrize(
+        "argv,expect",
+        [
+            pytest.param(["--json", "quotient-dump"], "5b89d68994f48a00", id="json-quotient-dump"),
+            pytest.param(["quotient-dump"], "ea6370666808b7c1", id="quotient-dump"),
+            pytest.param(["table9"], "8a2db391e7f9df53", id="table9"),
+            pytest.param(["--json", "table9"], "50b757a4bc3005f9", id="json-table9"),
+        ],
+    )
+    def test_stdout(self, capsys, argv, expect):
+        assert cli.run(argv) == 0
+        assert digest(capsys.readouterr().out) == expect

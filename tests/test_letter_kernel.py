@@ -405,3 +405,43 @@ class TestLevelBarriers:
         assert all(len(product(w, "a") if a_parity(w) else w) > words._MEMO_MAX_LEN for w in ws)
         check_level(ws)
         check_level(ws[::-1])
+
+
+@st.composite
+def sequence_runs(draw):
+    """The run products of one letter sequence: a run of single stars with
+    a few identity runs (sparse), or ``x·x^-1`` for a reduced ``x``, whose
+    middle run cancels and sets off a cascade through every run of ``x``,
+    followed by a short tail."""
+    if draw(st.booleans()):
+        runs = draw(st.lists(st.sampled_from("bcd"), max_size=60))
+        for k in draw(st.lists(st.integers(0, len(runs)), max_size=3)):
+            runs.insert(k, "")
+        return runs or [""]
+    x = draw(reduced_words)
+    tail = draw(st.sampled_from(["", "a", "b", "ab", "ca", "bab"]))
+    return [ref.reduce(r) for r in (x + inverse(x) + tail).split("a")]
+
+
+class TestCancelLoop:
+    """``_cancel`` is one loop over any iterable of run products."""
+
+    def test_takes_an_iterator_and_leaves_a_list_alone(self):
+        # abaabac: the identity run between the two a's merges b·b, whose
+        # identity then merges the leading identity run with c.
+        codes = ["", "b", "", "b", "c"]
+        kept = list(codes)
+        assert words._cancel(codes) == ["c"] == [ref.reduce("a".join(codes))]
+        assert codes == kept
+        assert words._cancel(iter(codes)) == ["c"]
+        assert words._cancel(c for c in ["b", "", "|", "", "b"]) == ["b", "", "|", "", "b"]
+        assert words._cancel(iter([])) == []
+
+    @given(st.lists(sequence_runs(), min_size=1, max_size=6))
+    def test_sparse_identity_runs_and_full_cascades(self, seqs):
+        letters = ["a".join(runs) for runs in seqs]
+        expect = [ref.reduce(s) for s in letters]
+        assert [reduce(s) for s in letters] == expect
+        assert words._reduce_level("".join(s + "|" for s in letters)) == expect
+        codes = [c for runs in seqs for c in (*runs, "|")] + [""]
+        assert "a".join(words._cancel(iter(codes))).split("a|a")[:-1] == expect

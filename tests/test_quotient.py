@@ -249,6 +249,22 @@ class TestBaseQ:
                     remaining.discard(cx)
             assert not remaining, f"cosets of Q({g},{g}) without witnesses: {remaining}"
 
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3])
+    def test_sandwich_gap_names_the_unwitnessed_cosets(self, monkeypatch, base_table, cap):
+        # The base table holds the shortest witness of each coset of
+        # Q(g, g); those longer than the cap are the gap.
+        gaps = {}
+        for g in "abcd":
+            q = base_q()[g]
+            missing = sum(1 << c for c in bits(q) if len(base_table[(g, g, c)]) > cap)
+            if missing:
+                gaps[g] = missing
+        assert gaps
+        monkeypatch.setattr(quotient, "_MAX_WITNESS_LEN", cap)
+        with pytest.raises(quotient.SandwichGap) as exc:
+            derive_base_q()
+        assert str(exc.value) == f"unwitnessed cosets after length {cap}: {gaps}"
+
     def test_conjugacy_invariance_of_images(self, tables, rng):
         # Conjugate words land in conjugate cosets.
         for _ in range(100):

@@ -287,6 +287,22 @@ class TestLiftWord:
             x0, x1 = phi_pair(x)
             assert a_parity(lift_word(x0, x1)) == 0
 
+    def test_length_bound_fires_one_letter_past_it(self, monkeypatch):
+        # With tau0 images replaced by a word of n letters and tau1 images
+        # by the identity, the lift is that word: the assertion must hold
+        # at n = 2(|x0| + |x1|) + 10 and fire at n + 1.
+        x0, x1 = phi_pair("abacabadacab")
+        bound = 2 * (len(x0) + len(x1)) + 10
+        assert len(x0) + len(x1) > 0
+        for n, fires in ((bound, False), (bound + 1, True)):
+            word = ("ab" * n)[:n]
+            monkeypatch.setattr(search_mod, "tau", lambda which, w: "" if which else word)
+            if fires:
+                with pytest.raises(AssertionError, match="exceeds its length bound"):
+                    search_mod._lift(x0, x1, coset(x0), coset(x1))
+            else:
+                assert search_mod._lift(x0, x1, coset(x0), coset(x1)) == word
+
 
 # What the searcher no longer checks on each lift: the sections of
 # _lift(x0, x1, c0, c1) equal (x0, x1) in the group.
@@ -345,6 +361,17 @@ def test_lift_section_tests_fail_every_mutant(monkeypatch, mutant):
                 _lift_in_every_pair(w0, w1)
     with pytest.raises(AssertionError):
         test_lift_sections_of_the_searcher(monkeypatch)
+
+
+def test_recurrence_bound_fires_one_letter_past_it():
+    # The bound on a level's conjugator: 4·|child| + 4(|u| + |v|) + 11.
+    u, v, child_len = "abacaba", "aba", 3
+    searcher = search_mod._Searcher(engine.solve([u, v]))
+    bound = 4 * child_len + 4 * (len(u) + len(v)) + 11
+    x = ("ab" * bound)[:bound]
+    assert searcher._check(u, v, x, child_len) == x
+    with pytest.raises(AssertionError, match=f"length {bound + 1} exceeds recurrence bound {bound}"):
+        searcher._check(u, v, x + "c", child_len)
 
 
 class TestFailurePath:
