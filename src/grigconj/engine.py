@@ -87,8 +87,8 @@ class WordRecord:
         # sections of w·a, then s0 and s1 and their cosets.  ``oc1`` is
         # walked when the word is split; ``oc0`` stays None until the word
         # becomes a representative (a row member's ``oc0`` is read by every
-        # probe of its row) or the conjugator search reads it, through
-        # ``coset0``.  ``ops`` charges both walks at the split.
+        # probe of its row) or the search reads it, through ``coset0``, as
+        # v's at an odd target.  ``ops`` charges both walks at the split.
         "child", "sec0", "sec1", "oc0", "oc1",
         "rep", "q_to_rep",
     )

@@ -19,7 +19,8 @@ key:
 - the direct and twisted terms of ``q_odd_cosets`` on the product Q-set
   and two section cosets, at most 180·256 keys each;
 - the search's witness tables: ``even_witnesses`` on the target coset,
-  16 keys, and the row behind ``odd_witnesses`` on two cosets, 256 keys.
+  16 keys, and ``odd_witnesses`` on two section cosets and the target
+  coset, 16^3 keys.
 
 The 180 are the empty set and the 179 cosets of the 35 subgroups of the
 quotient: every Q-set is empty or the image of a coset of a centralizer.
@@ -223,24 +224,27 @@ def q_odd_cosets(q_prod: int, cu1: int, cv0: int, cv1: int) -> int:
     return _q_odd_direct(q_prod, cu1, cv1) | _q_odd_twisted(q_prod, cu1, cv0)
 
 
+def _odd_pair(direct: int, g: int, cu1: int, c: int) -> tuple:
+    """The coset pair the odd formula lifts for the product coset g: the
+    direct term's (g, v1·g·u1^-1) with c = v1, or the twisted term's
+    (g·u1^-1, v0^-1·g) with c = v0."""
+    t = get_tables()
+    gu = t.mul[g][t.inv[cu1]]
+    if direct:
+        return g, t.mul[c][gu]
+    return gu, t.mul[t.inv[c]][g]
+
+
 @functools.cache
 def _q_odd_direct(q_prod: int, cu1: int, cv1: int) -> int:
     """lift{(g, v1·g·u1^-1) : g in q_prod}."""
-    t = get_tables()
-    mul = t.mul
-    iu1 = t.inv[cu1]
-    row = mul[cv1]
-    return _lift_image((g, row[mul[g][iu1]]) for g in mask_cosets(q_prod))
+    return _lift_image(_odd_pair(True, g, cu1, cv1) for g in mask_cosets(q_prod))
 
 
 @functools.cache
 def _q_odd_twisted(q_prod: int, cu1: int, cv0: int) -> int:
     """lift{(g·u1^-1, v0^-1·g) : g in q_prod}·a."""
-    t = get_tables()
-    mul = t.mul
-    iu1 = t.inv[cu1]
-    row = mul[t.inv[cv0]]
-    return shift_a(_lift_image((mul[g][iu1], row[g]) for g in mask_cosets(q_prod)))
+    return shift_a(_lift_image(_odd_pair(False, g, cu1, cv0) for g in mask_cosets(q_prod)))
 
 
 @functools.cache
@@ -260,26 +264,23 @@ def even_witnesses(g: int) -> tuple:
     )
 
 
-def odd_witnesses(cu1: int, cv0: int, cv1: int, g: int) -> int:
-    """The mask of product cosets gp whose single-coset
-    ``q_odd_cosets(1 << gp, cu1, cv0, cv1)`` contains g.
-
-    Only the direct term, which reads cv1, can produce an even g, and
-    only the twisted term, which reads cv0, an odd one; so the answer is
-    read from a row keyed on cu1 and the one coset g's term reads.
-    """
-    return _odd_witness_row(cu1, cv1 if get_tables().even_cosets >> g & 1 else cv0)[g]
-
-
 @functools.cache
-def _odd_witness_row(cu1: int, c: int) -> tuple:
-    """Per target coset, the mask of product cosets gp whose single-coset
-    ``q_odd_cosets(1 << gp, cu1, c, c)`` contains it."""
-    row = [0] * 16
-    for gp in range(16):
-        for target in mask_cosets(q_odd_cosets(1 << gp, cu1, c, c)):
-            row[target] |= 1 << gp
-    return tuple(row)
+def odd_witnesses(cu1: int, c: int, g: int) -> tuple:
+    """The triples (gp, c0, c1), in ascending gp, of the product cosets gp
+    whose single-coset ``q_odd_cosets`` contains g, each with the coset
+    pair (c0, c1) that its term lifts.
+
+    Only the direct term, which reads c = v1, can produce an even g, and
+    only the twisted term, which reads c = v0, an odd one; so each triple
+    is selected through that one term.
+    """
+    direct = get_tables().even_cosets >> g & 1
+    term = _q_odd_direct if direct else _q_odd_twisted
+    return tuple(
+        (gp, *_odd_pair(direct, gp, cu1, c))
+        for gp in range(16)
+        if term(1 << gp, cu1, c) >> g & 1
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ correction, and a recursion over the four parity cases of the
 coordinate-wise conjugacy systems.  The recursion reads the solve of the
 input pair: it walks down the splitting tree the engine built, takes each
 word's sections, product word and section cosets from the engine's
-records, and reads the witness cosets of each level from the tables
-``quotient.even_witnesses`` and ``quotient.odd_witnesses``, filtered by
-the stored Q-sets of the sections or of the product word.  Of all the
-witnesses at a level it lifts the one whose sub-conjugators are
-shortest; a memo on (u, v, coset) that lives for one ``find_conjugator``
-call finds each sub-conjugator once.  The recursion bottoms out in the
+records, and reads the witness cosets of each level, with the cosets
+of the words it lifts, from the tables ``quotient.even_witnesses`` and
+``quotient.odd_witnesses``, filtered by the stored Q-sets of the
+sections or of the product word.  Of all the witnesses at a level it
+lifts the one whose sub-conjugators are shortest; a memo on (u, v,
+coset) that lives for one ``find_conjugator`` call finds each
+sub-conjugator once.  The recursion bottoms out in the
 finite universe of words of norm < 9, whose conjugators come from a
 brute-force table keyed on (u, v, coset); it fills the slots of one
 word v at a time, on the first lookup that names v.
@@ -274,17 +275,16 @@ class _Searcher:
         """``find`` for a slot not yet in the memo.
 
         The sections, product words, section cosets and Q-sets are the
-        ones the solve stored; a first section coset the solve left
-        unwalked is walked on its first read (``WordRecord.coset0``).  The
-        witnesses come from ``quotient``'s tables, ``even_witnesses`` or
-        ``odd_witnesses``, filtered by the Q-sets of the sections or of
-        the product.  Each is found through the memo, and the one with the
-        shortest sub-conjugators is lifted; ties go to the first in coset
-        order.  The cosets of the words lifted follow from the witness by
-        the quotient tables, so no word is walked for its coset before the
-        lift.
+        ones the solve stored.  The witnesses come from ``quotient``'s
+        tables, ``even_witnesses`` or ``odd_witnesses``, filtered by the
+        Q-sets of the sections or of the product; for an odd target the
+        odd table reads v's first section coset, walked on its first read
+        if the solve left it unwalked (``WordRecord.coset0``).  Each is
+        found through the memo, and the one with the shortest
+        sub-conjugators is lifted; ties go to the first in coset order.
+        The cosets of the words lifted come with the witness, so no word
+        is walked for its coset before the lift.
         """
-        t = self.t
         if u in _BASE_WORDS and v in _BASE_WORDS:
             try:
                 return self.base[(u, v, g)]
@@ -298,7 +298,7 @@ class _Searcher:
         # The lift lands in the cosets of even a-count, the a-shift in the
         # others, so the parity of a target coset picks the one term of a
         # Q formula that can produce it.
-        direct = t.even_cosets >> g & 1
+        direct = self.t.even_cosets >> g & 1
         if ru.even:
             a0, a1, b0, b1 = ru.child0, ru.child1, rv.child0, rv.child1
             if not direct:
@@ -314,37 +314,30 @@ class _Searcher:
                         best = y0, y1, g0, g1
             if best is None:
                 raise AssertionError(f"no section cosets produce {g} for ({u!r}, {v!r})")
-            x0, x1, g0, g1 = best
-            x = self._lift(x0, x1, g0, g1)
-            if not direct:
-                x = product(x, "a")
-            return self._check(u, v, x, max(len(x0), len(x1)))
-        rp, rq = ru.child, rv.child
-        witnesses = transport(rp, rq) & odd_witnesses(ru.oc1, rv.coset0(), rv.oc1, g)
-        if not witnesses:
-            raise AssertionError(f"no product coset produces {g} for ({u!r}, {v!r})")
-        p, q = rp.word, rq.word
-        z = None
-        for c in mask_cosets(witnesses):
-            y = find(p, q, c)
-            if z is None or len(y) < len(z):
-                z, gp = y, c
-        u0, u1, v1 = ru.sec0, ru.sec1, rv.sec1
-        mul = t.mul
-        iu1 = t.inv[ru.oc1]
-        if direct:
-            # Even conjugator: x = (z, v1 z u1^-1).
-            x1 = product(product(v1, z), inverse(u1))
-            c1 = mul[mul[rv.oc1][gp]][iu1]
-            x = self._lift(z, x1, gp, c1)
+            x0, x1, c0, c1 = best
+            child_len = max(len(x0), len(x1))
         else:
-            # Odd conjugator: x·a has sections (z u1^-1, v1 z u1^-1 u0^-1).
-            x0 = product(z, inverse(u1))
-            x1 = product(product(v1, x0), inverse(u0))
-            c0 = mul[gp][iu1]
-            c1 = mul[mul[rv.oc1][c0]][t.inv[ru.coset0()]]
-            x = product(self._lift(x0, x1, c0, c1), "a")
-        return self._check(u, v, x, len(z))
+            rp, rq = ru.child, rv.child
+            q_prod = transport(rp, rq)
+            p, q = rp.word, rq.word
+            best = None
+            for gp, c0, c1 in odd_witnesses(ru.oc1, rv.oc1 if direct else rv.coset0(), g):
+                if q_prod >> gp & 1:
+                    z = find(p, q, gp)
+                    if best is None or len(z) < len(best[0]):
+                        best = z, c0, c1
+            if best is None:
+                raise AssertionError(f"no product coset produces {g} for ({u!r}, {v!r})")
+            z, c0, c1 = best
+            # x = (z, v1 z u1^-1) for an even target; for an odd one, x·a
+            # has sections (z u1^-1, v1 z u1^-1 u0^-1).
+            x0 = z if direct else product(z, inverse(ru.sec1))
+            x1 = product(product(rv.sec1, x0), inverse(ru.sec1 if direct else ru.sec0))
+            child_len = len(z)
+        x = self._lift(x0, x1, c0, c1)
+        if not direct:
+            x = product(x, "a")
+        return self._check(u, v, x, child_len)
 
     def _lift(self, x0: str, x1: str, c0: int, c1: int) -> str:
         x = _lift(x0, x1, c0, c1)

@@ -297,7 +297,7 @@ CACHED = (
     "_q_odd_direct",
     "_q_odd_twisted",
     "even_witnesses",
-    "_odd_witness_row",
+    "odd_witnesses",
 )
 
 
@@ -517,7 +517,7 @@ class TestMemos:
             ("_q_odd_direct", (0x0003, 1, 2)),
             ("_q_odd_twisted", (0x0003, 1, 2)),
             ("even_witnesses", (3,)),
-            ("_odd_witness_row", (1, 2)),
+            ("odd_witnesses", (1, 2, 3)),
         ):
             fn = getattr(quotient, name)
             first, _ = hit(fn, *args)
@@ -577,18 +577,25 @@ class TestWitnessTables:
         info = even_witnesses.cache_info()
         assert info.hits == info.misses == info.currsize == 16
 
-    def test_odd_table_matches_the_formula(self):
-        quotient._odd_witness_row.cache_clear()
+    def test_odd_table_matches_the_formula(self, tables):
+        odd_witnesses.cache_clear()
+        ca = tables.gen_coset["a"]
         for cu1 in range(16):
             for cv0 in range(16):
                 for cv1 in range(16):
                     qs = [q_odd_cosets(1 << gp, cu1, cv0, cv1) for gp in range(16)]
                     for g in range(16):
-                        expected = sum(1 << gp for gp in range(16) if qs[gp] >> g & 1)
-                        assert odd_witnesses(cu1, cv0, cv1, g) == expected
-        info = quotient._odd_witness_row.cache_info()
-        assert info.misses == info.currsize == 256
-        assert info.hits == 16 ** 4 - 256
+                        direct = tables.even_cosets >> g & 1
+                        expected = [gp for gp in range(16) if qs[gp] >> g & 1]
+                        got = odd_witnesses(cu1, cv1 if direct else cv0, g)
+                        assert [gp for gp, _, _ in got] == expected
+                        # Each triple's pair lifts to g, times a when g is odd.
+                        for _, c0, c1 in got:
+                            t = tables.lift[c0 << 4 | c1]
+                            assert t >= 0 and (t if direct else tables.mul[t][ca]) == g
+        info = odd_witnesses.cache_info()
+        assert info.misses == info.currsize == 16 ** 3
+        assert info.hits == 16 ** 4 - 16 ** 3
 
     def test_memos_stay_within_their_bounds(self, monkeypatch):
         calls = record_calls(monkeypatch)
@@ -599,10 +606,14 @@ class TestWitnessTables:
             u = reduce(inverse(x) + v + x)
             assert search.find_conjugator(u, v) is not None
         even = dict(calls["even_witnesses"])
-        rows = dict(calls["_odd_witness_row"])
+        odd = dict(calls["odd_witnesses"])
         assert 0 < len(even) <= 16
-        assert 0 < len(rows) <= 256
+        assert 0 < len(odd) <= 16 ** 3
         for (g,), pairs in even.items():
             assert 0 <= g < 16 and len(pairs) == 4
-        for (cu1, c), row in rows.items():
-            assert 0 <= cu1 < 16 and 0 <= c < 16 and len(row) == 16
+        # The search reads the odd table only for a target in Q(u, v), so
+        # every row it reads has a witness.
+        for (cu1, c, g), triples in odd.items():
+            assert 0 <= cu1 < 16 and 0 <= c < 16 and 0 <= g < 16 and triples
+            gps = [gp for gp, _, _ in triples]
+            assert gps == sorted(set(gps))

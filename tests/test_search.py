@@ -337,15 +337,18 @@ def test_lift_sections_of_the_searcher(monkeypatch):
 
     def recording(x0, x1, c0, c1):
         x = lift(x0, x1, c0, c1)
-        lifts.append((x, x0, x1))
+        lifts.append((x, x0, x1, c0, c1))
         return x
 
     monkeypatch.setattr(search_mod, "_lift", recording)
     for u, v in _planted_above_base(12, random.Random(5)):
         find_conjugator(u, v)
     assert len(lifts) > 50
-    for x, x0, x1 in lifts:
+    for x, x0, x1, c0, c1 in lifts:
         _assert_sections(x, x0, x1)
+        # The cosets given reach only the lift's check that they lie in L,
+        # so a wrong pair that lies in L shows nowhere else.
+        assert coset(x0) == c0 and coset(x1) == c1, (x0, x1, c0, c1)
 
 
 @pytest.mark.parametrize("mutant", list(_LIFT_MUTANTS))
@@ -410,7 +413,7 @@ class TestFailurePath:
     @pytest.mark.parametrize(
         "parity,table,empty,text",
         [(0, "even_witnesses", (), "no section cosets produce"),
-         (1, "odd_witnesses", 0, "no product coset produces")],
+         (1, "odd_witnesses", (), "no product coset produces")],
     )
     def test_no_witness_is_reported(self, monkeypatch, parity, table, empty, text):
         # With an empty witness table the top level of a pair above the
@@ -636,17 +639,23 @@ class TestSearchReadsTheSolve:
             x = rand_reduced(rng.randrange(0, 40), rng)
             assert find_conjugator(reduce(inverse(x) + v + x), v) is not None
         even_cosets = get_tables().even_cosets
-        walked = 0
+        walked = unwalked = 0
         for searcher in made:
-            for u, v, g in searcher.memo:
-                ru, rv = searcher.solved.record(u), searcher.solved.record(v)
-                if ru.even or (u in search_mod._BASE_WORDS and v in search_mod._BASE_WORDS):
-                    continue
-                # u's first coset is read for an odd conjugator only.
-                for rec in [rv] if even_cosets >> g & 1 else [ru, rv]:
-                    assert rec.oc0 == coset(rec.sec0), rec
-                    walked += rec.rep is not rec
-        assert walked
+            odd = [(searcher.solved.record(u), searcher.solved.record(v), g)
+                   for u, v, g in searcher.memo
+                   if not (u in search_mod._BASE_WORDS and v in search_mod._BASE_WORDS)
+                   and not searcher.solved.record(u).even]
+            # The search reads v's first coset for an odd target only, and
+            # u's never; otherwise only a representative's is walked.
+            read = {rv for _, rv, g in odd if not even_cosets >> g & 1}
+            for ru, rv, g in odd:
+                if rv in read:
+                    assert rv.oc0 == coset(rv.sec0), rv
+                    walked += rv.rep is not rv
+                if ru.rep is not ru and ru not in read:
+                    assert ru.oc0 is None, ru
+                    unwalked += 1
+        assert walked and unwalked
 
 
 class TestSearchMemo:
