@@ -14,8 +14,8 @@ lifts the one whose sub-conjugators are shortest; a memo on (u, v,
 coset) that lives for one ``find_conjugator`` call finds each
 sub-conjugator once.  The recursion bottoms out in the
 finite universe of words of norm < 9, whose conjugators come from a
-brute-force table keyed on (u, v, coset); it fills the slots of one
-word v at a time, on the first lookup that names v.
+brute-force table keyed on (u, v, coset); it fills each slot on its
+first lookup with the first conjugator in shortlex order.
 
 Checks.  One searcher class runs every search.  It asserts only two cheap
 bounds as it goes: the length of each lift and the length recurrence of
@@ -158,71 +158,41 @@ def _check_lift(x0: str, x1: str, x: str) -> None:
 # read from the base table.  The set is closed under splitting, so the
 # search recursion can only bottom out inside it.
 _BASE_WORDS = frozenset(norm9_universe())
-# The length cap of a base-table witness; the longest of the 2928 slots' is 12.
-_BASE_MAX_LEN = 24
+# The length cap of a base-table witness; the longest of the 2928 slots'
+# is 12.  A slot of two universe words with no witness walks every word
+# up to the cap before it raises: 0.08 s and 15 MB at 16 letters, 7 s and
+# 166 MB at 24.
+_BASE_MAX_LEN = 16
 
 
-def _base_words() -> dict:
-    """Each word v of the norm < 9 universe, class by class in universe
-    order, mapped to (v's class, the solve of the universe)."""
-    universe = norm9_universe()
-    solved = engine.solve(universe)
-    classes: dict = {}
-    for w in universe:
-        classes.setdefault(solved.representative(w), []).append(w)
-    return {v: (members, solved) for members in classes.values() for v in members}
-
-
-def _fill_word(v: str, members: list, solved, slots: dict) -> None:
-    """Fill into ``slots`` each slot (u, v, g) of the word v, for u in its
-    class ``members`` and g in Q(u, v): the first x in shortlex order in
-    coset g with red(x^-1 v x) equal to u, literally or in the group.
-    Raises ``BaseIncomplete`` if a slot has no such x of at most
-    ``_BASE_MAX_LEN`` letters."""
-    # The open slots of v by coset, each an insertion-ordered dict of
-    # words, so the slots fill in the same order in every run.
-    by_coset: dict = {}
-    for u in members:
-        for g in mask_cosets(solved.q_set(u, v)):
-            by_coset.setdefault(g, {})[u] = None
+def _first_conjugator(u: str, v: str, g: int) -> str:
+    """The first x in shortlex order in coset g with red(x^-1 v x) equal
+    to u, literally or in the group.  Raises ``BaseIncomplete`` if there
+    is no such x of at most ``_BASE_MAX_LEN`` letters."""
     for x in iter_reduced_words(_BASE_MAX_LEN):
-        if not by_coset:
-            break
-        cx = coset(x)
-        candidates = by_coset.get(cx)
-        if not candidates:
-            continue
-        y = product(product(inverse(x), v), x)
-        hits = [u for u in candidates if u == y or equal(u, y)]
-        for u in hits:
-            slots[(u, v, cx)] = x
-            del candidates[u]
-        if not candidates:
-            del by_coset[cx]
-    if by_coset:
-        raise BaseIncomplete(
-            f"slots for {v!r} unwitnessed at length {_BASE_MAX_LEN}: {sorted(by_coset)}"
-        )
+        if coset(x) == g:
+            y = product(product(inverse(x), v), x)
+            if u == y or equal(u, y):
+                return x
+    raise BaseIncomplete(
+        f"slot ({u!r}, {v!r}, {g}) unwitnessed at length {_BASE_MAX_LEN}"
+    )
 
 
 class _BaseTable(dict):
-    """A dict whose first miss on a key (u, v, g) fills v's slots, under
-    ``_BASE_LOCK``; the universe is solved on the first miss of all.  A
-    key still missing once v is filled raises ``KeyError``."""
-
-    _open: dict | None = None  # the ``_base_words`` not yet filled
+    """A dict whose miss on a key (u, v, g) of two universe words fills
+    that one slot, under ``_BASE_LOCK``; any other key raises
+    ``KeyError``."""
 
     def __missing__(self, key):
-        with _BASE_LOCK:
-            if self._open is None:
-                self._open = _base_words()
-            job = self._open.get(key[1])
-            if job is not None:
-                _fill_word(key[1], *job, self)
-                del self._open[key[1]]
-        if key not in self:
+        u, v, g = key
+        if u not in _BASE_WORDS or v not in _BASE_WORDS:
             raise KeyError(key)
-        return self.get(key)
+        with _BASE_LOCK:
+            x = self.get(key)
+            if x is None:
+                x = self[key] = _first_conjugator(u, v, g)
+        return x
 
 
 _BASE_LOCK = threading.Lock()
@@ -230,8 +200,8 @@ _BASE = _BaseTable()
 
 
 def get_base_table() -> dict:
-    """The process-wide base table: empty at first, it fills each word v's
-    slots once, by one thread, when a lookup first names v."""
+    """The process-wide base table: empty at first, it fills each slot
+    once, by one thread, when a lookup first names it."""
     return _BASE
 
 
@@ -283,13 +253,11 @@ class _Searcher:
         found through the memo, and the one with the shortest
         sub-conjugators is lifted; ties go to the first in coset order.
         The cosets of the words lifted come with the witness, so no word
-        is walked for its coset before the lift.
+        is walked for its coset before the lift.  A slot of two universe
+        words is read from the base table, which fills it on that read.
         """
         if u in _BASE_WORDS and v in _BASE_WORDS:
-            try:
-                return self.base[(u, v, g)]
-            except KeyError:
-                raise AssertionError(f"no base-table slot ({u!r}, {v!r}, {g})") from None
+            return self.base[(u, v, g)]
         ru, rv = self.solved.record(u), self.solved.record(v)
         if ru.even != rv.even:
             raise AssertionError("mismatched parities cannot be conjugate")

@@ -5,8 +5,8 @@ import time
 
 import pytest
 
-from grigconj import quotient, search
-from grigconj.words import LETTERS, STARS
+from grigconj import engine, quotient, search
+from grigconj.words import LETTERS, STARS, norm9_universe
 
 
 @pytest.fixture(scope="session")
@@ -15,19 +15,24 @@ def tables():
 
 
 def full_base_table() -> dict:
-    """Every slot ``{(u, v, g): x}`` of the base conjugator table, word v
-    by word v into a fresh dict: the values ``search.get_base_table()``
-    fills on first use."""
-    slots: dict = {}
-    for v, job in search._base_words().items():
-        search._fill_word(v, *job, slots)
-    return slots
+    """Every slot ``{(u, v, g): x}`` of the base conjugator table, in a
+    fresh dict: v, then u, in universe order, and g over Q(u, v) from one
+    solve of the universe.  Its values are the ones
+    ``search.get_base_table()`` fills on demand."""
+    universe = norm9_universe()
+    solved = engine.solve(universe)
+    return {
+        (u, v, g): search._first_conjugator(u, v, g)
+        for v in universe
+        for u in universe
+        for g in quotient.mask_cosets(solved.q_set(u, v))
+    }
 
 
 @pytest.fixture(scope="session")
 def base_table():
     # The full fill, so a test sees all 2928 slots whatever ran before it;
-    # the process-wide table holds only the words looked up so far.
+    # the process-wide table holds only the slots looked up so far.
     return full_base_table()
 
 

@@ -432,25 +432,26 @@ class TestFailurePath:
             f"{text} {g} for ({u!r}, {v!r})"
         )
 
-    def test_missing_base_slot_is_named(self, monkeypatch, capsys, fresh_base):
-        # A slot taken out after its word is filled: the search and its
-        # checked re-run both stop there, and the error names it.
+    def test_missing_base_slot_is_named(self, monkeypatch, capsys, fresh_base, base_table):
+        # With the witness cap at 0 letters only identity slots fill: the
+        # search stops at the first other slot it reads, whose error
+        # names it, and the slot stays empty.
         (u, v), = _planted_above_base(1, random.Random(3))
         searchers = _recording_searchers(monkeypatch)
-        assert find_conjugator(u, v) is not None
-        key = next(k for k in reversed(list(searchers[-1].memo)) if k in fresh_base)
-        monkeypatch.delitem(fresh_base, key)
-        with pytest.raises(AssertionError) as info:
+        monkeypatch.setattr(search_mod, "_BASE_MAX_LEN", 0)
+        with pytest.raises(search_mod.BaseIncomplete) as info:
             find_conjugator(u, v)
-        err = str(info.value)
-        m = self.LEVEL.match(err)
-        assert m, err
-        assert int(m[1]) >= 1 and (m[2], m[3], int(m[4])) == key
-        assert err.endswith(f"no base-table slot ({key[0]!r}, {key[1]!r}, {key[2]})")
+        key = searchers[-1].path[-1]
+        assert len(searchers[-1].path) >= 2 and key in base_table
+        assert str(info.value) == f"slot ({key[0]!r}, {key[1]!r}, {key[2]}) unwitnessed at length 0"
+        assert key not in fresh_base
+        assert all(x == "" for x in fresh_base.values())
         assert cli.run(["conjugator", u, v]) == 3
-        lines = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error: internal: AssertionError: conjugator search broke at level ")
+        assert lines[0] == f"error: internal: BaseIncomplete: {info.value}"
 
     def test_rerun_that_passes_names_the_call(self, monkeypatch):
         # Only the first check fails: the re-run with every level checked
@@ -732,17 +733,17 @@ class TestBaseTableCompleteness:
 
 class TestGetBaseTable:
     def test_concurrent_callers_build_once(self, monkeypatch, fresh_base, base_table):
-        # Four threads miss on the same word v at once: v's slots are
-        # filled by one of them, and every caller gets the same table.
+        # Four threads miss on the same slot at once: one of them fills
+        # it, and every caller gets the same table and conjugator.
         fills = []
-        fill = search_mod._fill_word
+        first = search_mod._first_conjugator
 
-        def slow_fill(v, *args):
-            fills.append(v)
+        def slow_fill(*key):
+            fills.append(key)
             time.sleep(0.05)
-            fill(v, *args)
+            return first(*key)
 
-        monkeypatch.setattr(search_mod, "_fill_word", slow_fill)
+        monkeypatch.setattr(search_mod, "_first_conjugator", slow_fill)
         key = ("aba", "b", get_tables().gen_coset["a"])
 
         def lookup():
@@ -750,10 +751,10 @@ class TestGetBaseTable:
             return table, table[key]
 
         results = run_in_threads(lookup)
-        assert fills == ["b"]
+        assert fills == [key]
         assert all(table is fresh_base for table, _ in results)
         assert [x for _, x in results] == [base_table[key]] * 4
-        assert fresh_base == {k: x for k, x in base_table.items() if k[1] == "b"}
+        assert fresh_base == {key: base_table[key]}
 
 
 class TestOnDemandBaseTable:
@@ -765,44 +766,49 @@ class TestOnDemandBaseTable:
             "grigconj.solve(['aba', 'b', 'abacabad'])\n"
             "assert grigconj.are_conjugate('aba', 'b')\n"
             "grigconj.conjugate_pairs(['aba', 'b', 'c'])\n"
-            "print(len(search.get_base_table()), search._BASE._open is None)"
+            "print(len(search.get_base_table()))"
         )
         env = dict(os.environ, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "0 True\n"
+        assert proc.stdout == "0\n"
 
-    def test_a_base_pair_fills_only_its_word(self, fresh_base, base_table):
+    def test_a_base_pair_fills_only_its_slot(self, fresh_base):
         assert find_conjugator("aba", "b") == "a"
-        assert fresh_base == {k: x for k, x in base_table.items() if k[1] == "b"}
+        assert fresh_base == {("aba", "b", coset("a")): "a"}
 
-    def test_a_search_fills_only_the_words_it_names(self, monkeypatch, fresh_base, base_table):
+    def test_a_search_fills_only_the_slots_it_reads(self, monkeypatch, fresh_base, base_table):
         searchers = _recording_searchers(monkeypatch)
-        named = set()
+        read = set()
         for u, v in _planted_above_base(4, random.Random(5)):
             assert find_conjugator(u, v) is not None
             # The memo keys in the base table are the slots the search read.
-            named |= {key[1] for key in searchers[-1].memo if key in base_table}
-        assert named
-        assert {v for _, v, _ in fresh_base} == named
-        assert fresh_base == {k: x for k, x in base_table.items() if k[1] in named}
+            read |= {key for key in searchers[-1].memo if key in base_table}
+        assert read
+        assert fresh_base == {k: base_table[k] for k in read}
 
     def test_every_word_filled_equals_the_full_table(self, fresh_base, base_table):
         for v in norm9_universe():
             assert fresh_base[(v, v, IDENTITY_COSET)] == ""
+        for key in base_table:
+            assert fresh_base[key] == base_table[key]
         assert fresh_base == base_table
         assert len(fresh_base) == 2928
         assert _digest(sorted(fresh_base.items())) == "d734e5771c179574"
 
     def test_full_table_keeps_its_insertion_order(self, base_table):
-        assert _digest(list(base_table.items())) == "5d3d96b151b35a82"
+        assert _digest(list(base_table.items())) == "54b0d26b7d978cec"
 
     def test_missing_key_raises_key_error(self, fresh_base):
+        # A key outside the universe is missing; a universe slot outside
+        # Q has no witness, and neither is stored.
+        for key in [("b", "not a universe word", IDENTITY_COSET),
+                    ("not a universe word", "b", IDENTITY_COSET)]:
+            with pytest.raises(KeyError):
+                fresh_base[key]
         g = next(g for g in range(16) if not engine.q_set("b", "b") >> g & 1)
-        with pytest.raises(KeyError):
+        with pytest.raises(search_mod.BaseIncomplete, match=rf"^slot \('b', 'b', {g}\) "):
             fresh_base[("b", "b", g)]
-        assert ("b", "b", IDENTITY_COSET) in fresh_base
-        with pytest.raises(KeyError):
-            fresh_base[("b", "not a universe word", IDENTITY_COSET)]
+        assert not fresh_base
