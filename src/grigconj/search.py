@@ -13,9 +13,11 @@ sections or of the product word.  Of all the witnesses at a level it
 lifts the one whose sub-conjugators are shortest; a memo on (u, v,
 coset) that lives for one ``find_conjugator`` call finds each
 sub-conjugator once.  The recursion bottoms out in the
-finite universe of words of norm < 9, whose conjugators come from a
-brute-force table keyed on (u, v, coset); it fills each slot on its
-first lookup with the first conjugator in shortlex order.
+finite universe of the 201 words of norm < 11, whose conjugators come
+from a brute-force table keyed on (u, v, coset): 9688 slots, the longest
+witness 13 letters.  It fills each slot on its first lookup with the
+first conjugator in shortlex order, scanning that coset's list of one
+shortlex enumeration of reduced words that every slot shares.
 
 Checks.  One searcher class runs every search.  It asserts only two cheap
 bounds as it goes: the length of each lift and the length recurrence of
@@ -43,10 +45,10 @@ from .quotient import (
 )
 from .words import (
     _extensions,
+    _norm_ball,
     equal,
     inverse,
     is_identity,
-    norm9_universe,
     parse,
     phi_pair,
     product,
@@ -153,14 +155,14 @@ def _check_lift(x0: str, x1: str, x: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Base conjugator table over the norm < 9 universe.
+# Base conjugator table over the norm < 11 universe.
 
-# The words of the norm < 9 universe: a slot whose two words lie here is
-# read from the base table.  The set is closed under splitting, so the
-# search recursion can only bottom out inside it.
-_BASE_WORDS = frozenset(norm9_universe())
-# The length cap of a base-table witness; the longest of the 2928 slots'
-# is 12.  A slot of two universe words with no witness walks every word
+# The 201 words of norm < 11, none longer than 9 letters: a slot whose two
+# words lie here is read from the base table.  The set is closed under
+# splitting, so the search recursion can only bottom out inside it.
+_BASE_WORDS = frozenset(_norm_ball(11.0))
+# The length cap of a base-table witness; the longest of the 9688 slots'
+# is 13.  A slot of two universe words with no witness walks every word
 # of its coset up to the cap before it raises, and the shared enumeration
 # keeps every word up to the cap: 0.03 s and 3 MB at 16 letters, 0.2 s
 # and 39 MB at 20.
@@ -183,7 +185,7 @@ class _ShortlexCosets:
         self.length = 0
         self._last = [("", IDENTITY_COSET)]
 
-    def iter(self, g: int, max_len: int):
+    def iter_coset(self, g: int, max_len: int):
         """Yield the words of coset g of at most ``max_len`` letters in
         shortlex order, growing the lists when the reader passes their
         end."""
@@ -223,7 +225,7 @@ def _first_conjugator(u: str, v: str, g: int) -> str:
     """The first x in shortlex order in coset g with red(x^-1 v x) equal
     to u, literally or in the group.  Raises ``BaseIncomplete`` if there
     is no such x of at most ``_BASE_MAX_LEN`` letters."""
-    for x in _SHORTLEX.iter(g, _BASE_MAX_LEN):
+    for x in _SHORTLEX.iter_coset(g, _BASE_MAX_LEN):
         y = product(product(inverse(x), v), x)
         if u == y or equal(u, y):
             return x

@@ -408,14 +408,13 @@ def iter_reduced_words(max_len: int):
         frontier = nxt
 
 
-def norm9_universe():
-    """All reduced words of norm < 9, in shortlex order.
+def _norm_ball(bound: float) -> list:
+    """All reduced words of norm < bound, in shortlex order.
 
-    The norm is taken with ``EXACT_WEIGHTS``; ``TABULATED_WEIGHTS`` give
-    the same 100 words, so the reference table lists exactly these.
-    Weights are positive, so the norm grows strictly along prefixes and a
-    breadth-first extension with pruning is exhaustive; it ends because
-    norm < 9 forces length < 9/0.7.
+    The norm is taken with ``EXACT_WEIGHTS``.  Weights are positive, so
+    the norm grows strictly along prefixes and a breadth-first extension
+    with pruning is exhaustive; it ends because norm < bound forces
+    length < bound/0.7.
     """
     out = [""]
     frontier = [""]
@@ -424,8 +423,17 @@ def norm9_universe():
         for w in frontier:
             for ch in _extensions(w):
                 e = w + ch
-                if norm(e) < 9.0:
+                if norm(e) < bound:
                     nxt.append(e)
         out.extend(nxt)
         frontier = nxt
     return out
+
+
+def norm9_universe():
+    """All reduced words of norm < 9, in shortlex order.
+
+    ``TABULATED_WEIGHTS`` give the same 100 words as ``EXACT_WEIGHTS``,
+    so the reference table lists exactly these.
+    """
+    return _norm_ball(9.0)

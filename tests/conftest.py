@@ -6,7 +6,7 @@ import time
 import pytest
 
 from grigconj import engine, quotient, search
-from grigconj.words import LETTERS, STARS, norm9_universe
+from grigconj.words import LETTERS, STARS
 
 
 @pytest.fixture(scope="session")
@@ -16,10 +16,10 @@ def tables():
 
 def full_base_table() -> dict:
     """Every slot ``{(u, v, g): x}`` of the base conjugator table, in a
-    fresh dict: v, then u, in universe order, and g over Q(u, v) from one
-    solve of the universe.  Its values are the ones
-    ``search.get_base_table()`` fills on demand."""
-    universe = norm9_universe()
+    fresh dict: v, then u, over ``search._BASE_WORDS`` in shortlex order,
+    and g over Q(u, v) from one solve of those words.  Its values are the
+    ones ``search.get_base_table()`` fills on demand."""
+    universe = sorted(search._BASE_WORDS, key=lambda w: (len(w), w))
     solved = engine.solve(universe)
     return {
         (u, v, g): search._first_conjugator(u, v, g)
@@ -31,7 +31,7 @@ def full_base_table() -> dict:
 
 @pytest.fixture(scope="session")
 def base_table():
-    # The full fill, so a test sees all 2928 slots whatever ran before it;
+    # The full fill, so a test sees all 9688 slots whatever ran before it;
     # the process-wide table holds only the slots looked up so far.
     return full_base_table()
 

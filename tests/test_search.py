@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import random
 import re
@@ -36,6 +37,7 @@ from grigconj.words import (
     phi_pair,
     product,
     reduce,
+    split_children,
 )
 
 # Broken lifts: (module attribute, replacement built from the original).
@@ -500,9 +502,7 @@ class TestBaseConjTable:
         assert base_table[("aba", "b", tables.gen_coset["a"])] == "a"
 
     def test_slot_count_matches_engine_q_sets(self, base_table):
-        from grigconj.words import norm9_universe
-
-        universe = norm9_universe()
+        universe = list(search_mod._BASE_WORDS)
         res = engine.solve(universe)
         expected = 0
         for u in universe:
@@ -517,10 +517,21 @@ class TestBaseConjTable:
 
     def test_base_words_match_the_norm_predicate(self):
         # The searcher reads a slot from the base table when both words
-        # lie in this set; the test it replaced was len(w) < 13 and
-        # norm(w) < 9.0 on each word.
-        for w in iter_reduced_words(13):
-            assert (w in search_mod._BASE_WORDS) == (len(w) < 13 and norm(w) < 9.0), w
+        # lie in this set: the 201 words of norm < 11.  A word of 10 or
+        # more letters has at least 5 a's and 5 stars, norm >= 12.3.
+        for w in iter_reduced_words(12):
+            assert (w in search_mod._BASE_WORDS) == (norm(w) < 11.0), w
+        assert len(search_mod._BASE_WORDS) == 201
+        assert max(map(len, search_mod._BASE_WORDS)) == 9
+
+    def test_base_words_are_closed_under_splitting(self):
+        # The recursion splits a pair until both words are base words, so
+        # every child of a base word must be one too.
+        for w in search_mod._BASE_WORDS:
+            assert set(split_children(w)) <= search_mod._BASE_WORDS, w
+
+    def test_base_words_contain_the_norm_9_universe(self):
+        assert set(norm9_universe()) <= search_mod._BASE_WORDS
 
 
 class TestFindConjugator:
@@ -605,9 +616,9 @@ class TestConjugatorBytes:
             for g in mask_cosets(engine.q_set(u, v)):
                 out.append(find_conjugator(u, v, g))
         assert len(out) == 93
-        assert sum(map(len, out)) == 85332
+        assert sum(map(len, out)) == 82534
         assert hashlib.sha256("\n".join(out).encode()).hexdigest() == (
-            "b6139a1aedb0fcb54ef8d437d2d4b7e7e797ca784e79dc8fc9475b651850ec1e"
+            "e96d4d9aa229e001bcaf14e4f187e81c4b896edc4117ca7ce4387f1cf37e248a"
         )
 
 
@@ -699,7 +710,7 @@ class TestSearchMemo:
 class TestBaseTableCompleteness:
     def test_rebuild_with_tight_cap_is_complete(self, monkeypatch):
         # The standard build must not be anywhere near its length cap.
-        monkeypatch.setattr(search_mod, "_BASE_MAX_LEN", 12)
+        monkeypatch.setattr(search_mod, "_BASE_MAX_LEN", 13)
         table = full_base_table()
         assert len(table) > 0
 
@@ -708,6 +719,20 @@ class TestBaseTableCompleteness:
         monkeypatch.setattr(search_mod, "_BASE_MAX_LEN", 1)
         with pytest.raises(search_mod.BaseIncomplete):
             full_base_table()
+
+    def test_cap_holds_once_the_shared_words_are_longer(self, monkeypatch, fresh_base, base_table):
+        # A slot whose witness has 4 letters grows the shared shortlex
+        # lists to at least 4 letters.  With the cap then lowered to 3, a
+        # slot whose witness is longer than 3 letters is unwitnessed, and
+        # stays unfilled, though its witness is already in the lists.
+        long = [key for key, x in base_table.items() if len(x) == 4]
+        first, key = long[0], long[-1]
+        assert fresh_base[first] == base_table[first]
+        assert search_mod._SHORTLEX.length >= 4
+        monkeypatch.setattr(search_mod, "_BASE_MAX_LEN", 3)
+        with pytest.raises(search_mod.BaseIncomplete, match=r"unwitnessed at length 3$"):
+            fresh_base[key]
+        assert fresh_base == {first: base_table[first]}
 
 
     def test_insertion_order_is_independent_of_the_hash_seed(self):
@@ -757,6 +782,29 @@ class TestGetBaseTable:
         assert fresh_base == {key: base_table[key]}
 
 
+    def test_concurrent_fills_share_one_enumeration(self, monkeypatch, fresh_base, base_table):
+        # Four threads fill the same long-witness slots of a fresh table, in
+        # different orders, from a fresh shared enumeration that each fill
+        # grows: every slot gets its witness, and every list holds each
+        # word of its coset once, in shortlex order.
+        shortlex = search_mod._ShortlexCosets()
+        monkeypatch.setattr(search_mod, "_SHORTLEX", shortlex)
+        keys = [key for key, x in base_table.items() if len(x) >= 11][:8]
+        turns = itertools.count()
+
+        def fill():
+            k = 2 * next(turns)
+            return {key: fresh_base[key] for key in keys[k:] + keys[:k]}
+
+        expected = {key: base_table[key] for key in keys}
+        assert run_in_threads(fill) == [expected] * 4
+        assert fresh_base == expected
+        for g, words in enumerate(shortlex.words):
+            assert words == sorted(set(words), key=lambda w: (len(w), w))
+            assert all(coset(w) == g for w in words)
+        assert sum(map(len, shortlex.words)) == len(list(iter_reduced_words(shortlex.length)))
+
+
 class TestOnDemandBaseTable:
     def test_solves_leave_it_empty_in_a_fresh_process(self):
         src = os.path.dirname(os.path.dirname(grigconj.__file__))
@@ -790,16 +838,16 @@ class TestOnDemandBaseTable:
         assert fresh_base == {k: base_table[k] for k in read}
 
     def test_every_word_filled_equals_the_full_table(self, fresh_base, base_table):
-        for v in norm9_universe():
+        for v in search_mod._BASE_WORDS:
             assert fresh_base[(v, v, IDENTITY_COSET)] == ""
         for key in base_table:
             assert fresh_base[key] == base_table[key]
         assert fresh_base == base_table
-        assert len(fresh_base) == 2928
-        assert _digest(sorted(fresh_base.items())) == "d734e5771c179574"
+        assert len(fresh_base) == 9688
+        assert _digest(sorted(fresh_base.items())) == "3f018b16384ce92d"
 
     def test_full_table_keeps_its_insertion_order(self, base_table):
-        assert _digest(list(base_table.items())) == "54b0d26b7d978cec"
+        assert _digest(list(base_table.items())) == "5b5154854198f25d"
 
     def test_missing_key_raises_key_error(self, fresh_base):
         # A key outside the universe is missing; a universe slot outside
