@@ -8,6 +8,12 @@ combined input length: the universe is linear by the tree-size bounds,
 each word costs a constant number of bounded Q-set operations per row
 member, and no row ever holds more than 256 members.
 
+``ConjTable.add`` grows a table by a list of inputs.  ``solve`` adds all
+of them at once.  ``conjugate_pairs`` adds them chunk by chunk and stops
+at the chunk that holds the first conjugate pair.  A table grown by
+chunks processes its words in another order, so its representatives may
+differ from ``solve``'s; conjugacy is intrinsic, so its verdicts cannot.
+
 The universe is collected one splitting-tree level at a time: the words
 first seen on a level are split together by one ``words.split_level``
 call, and the new words among their children make up the next level.
@@ -71,6 +77,10 @@ from .quotient import (
 from .words import parse, split_level
 
 ROW_CAPACITY = 256
+
+# The inputs conjugate_pairs reads before it first looks for a pair; each
+# later chunk of inputs is twice the one before.
+PAIR_CHUNK = 16
 
 
 class CapacityViolation(RuntimeError):
@@ -174,6 +184,14 @@ class ConjTable:
         return relative(y.q_to_rep, x.q_to_rep)
 
     # -- processing ---------------------------------------------------------
+    def add(self, words):
+        """Give every word of ``words`` (parsed) a representative: collect
+        the new universe words they bring and process them in shortlex
+        order.  Words already in the table cost one lookup each."""
+        for rec in collect_universe(words, self):
+            if rec.rep is None:
+                self.process(rec)
+
     def process(self, rec: WordRecord):
         """Assign a representative to ``rec``, processing any unprocessed
         odd chain below it first.  The chain never exceeds three records:
@@ -353,9 +371,7 @@ def solve(inputs) -> SolveResult:
     """Process all inputs (and their splitting trees) into one table."""
     inputs = [parse(w) for w in inputs]
     table = ConjTable()
-    for rec in collect_universe(inputs, table):
-        if rec.rep is None:
-            table.process(rec)
+    table.add(inputs)
     return SolveResult(table, inputs)
 
 
@@ -372,13 +388,29 @@ def q_set(u: str, v: str) -> int:
 
 
 def conjugate_pairs(inputs):
-    """First (i, j) with i < j and inputs[i] conjugate to inputs[j]."""
-    res = solve(inputs)
+    """The first conjugate pair (i, j), i < j, of ``inputs``, or None.
+
+    "First" means the smallest j that has a conjugate among the inputs
+    before it, paired with the first of those.  Every input is parsed up
+    front, so a bad word anywhere in the list raises.  The inputs then
+    join one table in chunks, ``PAIR_CHUNK`` of them first and each chunk
+    twice the last, and the scan stops at the chunk holding the first
+    pair: the first pair within a prefix is the first pair of the list.
+    So the call reads only the prefix it needs, and its cost is linear in
+    that prefix, plus the parse of every input.
+    """
+    inputs = [parse(w) for w in inputs]
+    table = ConjTable()
+    lam1 = table.lambda1
     seen = {}
-    for j, w in enumerate(res.inputs):
-        rep = res.record(w).rep
-        i = seen.get(id(rep))
-        if i is not None:
-            return (i, j)
-        seen[id(rep)] = j
+    start, size = 0, PAIR_CHUNK
+    while start < len(inputs):
+        chunk = inputs[start:start + size]
+        table.add(chunk)
+        for j, w in enumerate(chunk, start):
+            i = seen.setdefault(lam1[w].rep, j)
+            if i != j:
+                return (i, j)
+        start += size
+        size *= 2
     return None

@@ -105,13 +105,15 @@ class TestPairsCommand:
             assert "utf-8" in lines[0]
 
     def test_bad_letter_is_an_error(self, tmp_path, capsys):
+        # Before or after the first pair (b, aba): every line is parsed.
         f = tmp_path / "words.txt"
-        f.write_text("b\nabx\naba\n")
-        for extra in ([], ["--json"]):
-            assert cli.run(extra + ["pairs", str(f)]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.splitlines() == ["error: invalid symbol(s) ['x'] in 'abx'"]
+        for text in ("b\nabx\naba\n", "b\naba\nabx\n"):
+            f.write_text(text)
+            for extra in ([], ["--json"]):
+                assert cli.run(extra + ["pairs", str(f)]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.splitlines() == ["error: invalid symbol(s) ['x'] in 'abx'"]
 
 
 class TestConjugatorCommand:

@@ -22,7 +22,15 @@ from grigconj.engine import (
     solve,
 )
 from grigconj.quotient import IDENTITY_COSET, base_q, coset
-from grigconj.words import a_parity, equal, inverse, iter_reduced_words, reduce, split_level
+from grigconj.words import (
+    InvalidCharacter,
+    a_parity,
+    equal,
+    inverse,
+    iter_reduced_words,
+    reduce,
+    split_level,
+)
 
 
 class TestInitialTable:
@@ -304,6 +312,75 @@ class TestConjugatePairs:
     def test_earliest_pair_wins(self):
         # b ~ aba at (0, 2) precedes c ~ aca at (1, 3).
         assert conjugate_pairs(["b", "c", "aba", "aca"]) == (0, 2)
+
+    @staticmethod
+    def first_pair_of_solve(ws):
+        seen = {}
+        for j, (rep, _) in enumerate(solve(ws).per_input()):
+            i = seen.setdefault(rep, j)
+            if i != j:
+                return (i, j)
+        return None
+
+    def test_small_lists_match_solve(self):
+        for ws in ([], ["abab"], ["ab", "ab"]):
+            assert conjugate_pairs(ws) == self.first_pair_of_solve(ws)
+
+    def test_random_lists_match_solve(self):
+        for seed in range(20):
+            rng = random.Random(seed)
+            ws = [rand_reduced(50, rng) for _ in range(300)]
+            assert conjugate_pairs(ws) == self.first_pair_of_solve(ws), seed
+
+    # The first chunks of inputs end at 16 and 48 (engine.PAIR_CHUNK).
+    @pytest.mark.parametrize(
+        "planted, first",
+        [
+            ([(3, 15)], (3, 15)),
+            ([(3, 16)], (3, 16)),
+            ([(15, 17)], (15, 17)),
+            ([(20, 47)], (20, 47)),
+            ([(0, 48)], (0, 48)),
+            ([(16, 49)], (16, 49)),
+            # A smaller j beats a smaller i, across a chunk boundary.
+            ([(0, 47), (15, 16)], (15, 16)),
+            ([(2, 49), (20, 48)], (20, 48)),
+        ],
+    )
+    def test_planted_pairs_around_chunk_ends(self, planted, first):
+        rng = random.Random(5)
+        ws = [rand_reduced(50, rng) for _ in range(200)]
+        firsts = {}
+        for w, (rep, _) in zip(ws, solve(ws).per_input()):
+            firsts.setdefault(rep, w)
+        ws = list(firsts.values())[:60]
+        assert len(ws) == 60  # pairwise non-conjugate
+        for i, j in planted:
+            x = rand_reduced(rng.randrange(1, 20), rng)
+            ws[j] = reduce(inverse(x) + ws[i] + x)
+        assert conjugate_pairs(ws) == self.first_pair_of_solve(ws) == first
+
+    def test_bad_word_after_the_pair_raises(self, rng):
+        # Every input is parsed before the first chunk is read.
+        tail = [rand_reduced(50, rng) for _ in range(100)]
+        for bad in ("abx", 5):
+            with pytest.raises(InvalidCharacter):
+                conjugate_pairs(["b", "aba"] + tail + [bad])
+
+    def test_any_solve_it_makes_reads_the_whole_list(self, monkeypatch, rng):
+        # The batch-short benchmark rebinds engine.solve around the call
+        # and takes the first result's representatives for every input.
+        calls = []
+        inner = engine.solve
+
+        def keep(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "solve", keep)
+        ws = ["b", "aba"] + [rand_reduced(50, rng) for _ in range(100)]
+        assert engine.conjugate_pairs(ws) == (0, 1)
+        assert all(args == (ws,) for args in calls)
 
 
 class TestAgainstPlantedConjugations:

@@ -9,7 +9,8 @@ from grigconj.oracle import (
     sufficient_depth,
     word_equal_oracle,
 )
-from grigconj.words import equal, inverse, reduce
+from grigconj.quotient import generator_leaf_perms
+from grigconj.words import equal, inverse, is_identity, iter_reduced_words, reduce
 
 
 class TestDepthAction:
@@ -48,6 +49,31 @@ class TestWordEqualOracle:
     def test_sufficient_depth_monotone(self):
         assert sufficient_depth(1) >= 3
         assert sufficient_depth(100) < sufficient_depth(100000)
+
+    def test_sufficient_depth_on_every_short_word(self):
+        # Every nontrivial reduced word of at most 16 letters moves a
+        # vertex by level sufficient_depth(len(w)), which is at most 8
+        # there.  Level-8 actions are 256-byte permutations; the
+        # enumeration is prefix-closed, so each costs one translate of its
+        # parent's.  A word moves a vertex of level k when some leaf and
+        # its image differ in their top k bits.
+        perms = {g: bytes(p) for g, p in generator_leaf_perms(8).items()}
+        actions = {"": bytes(range(256))}
+        worst = {}
+        for w in iter_reduced_words(16):
+            if not w:
+                continue
+            act = actions[w] = perms[w[-1]].translate(actions[w[:-1]])
+            level = 9 - max((leaf ^ image).bit_length() for leaf, image in enumerate(act))
+            if level > sufficient_depth(len(w)):
+                assert is_identity(w), w
+            else:
+                worst[len(w)] = max(worst.get(len(w), 0), level)
+        assert tuple(act) == DepthAction.at_depth(8).word_perm(w)
+        # The worst level per length, with room under sufficient_depth's
+        # 5-8; a length of 2 mod 4 forces an odd a-count, moving level 1.
+        assert worst == {1: 3, 2: 1, 3: 3, 4: 3, 5: 3, 6: 1, 7: 3, 8: 4,
+                         9: 4, 10: 1, 11: 4, 12: 4, 13: 4, 14: 1, 15: 4, 16: 5}
 
     def test_agrees_with_splitting_on_randoms(self, rng):
         for _ in range(150):
