@@ -79,8 +79,10 @@ from .words import parse, split_level
 ROW_CAPACITY = 256
 
 # The inputs conjugate_pairs reads before it first looks for a pair; each
-# later chunk of inputs is twice the one before.
-PAIR_CHUNK = 16
+# later chunk of inputs is twice the one before.  Random lists of short
+# words hold their first pair well inside the first chunk, so a call's
+# cost does not jump with where in the list that pair sits.
+PAIR_CHUNK = 256
 
 
 class CapacityViolation(RuntimeError):

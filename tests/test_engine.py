@@ -1,4 +1,5 @@
 import ast
+import functools
 import hashlib
 import random
 import re
@@ -296,6 +297,21 @@ class TestQAgainstBruteWitnesses:
             assert not want & ~res.q_set(u, v), (u, v, want)
 
 
+@functools.lru_cache(maxsize=None)
+def pairwise_distinct(n):
+    """``n`` pairwise non-conjugate random 50-letter words.  Random words
+    of one length fall into few classes (about 930 among 20,000 words of
+    50 letters), so many more are drawn than kept."""
+    rng = random.Random(5)
+    ws = [rand_reduced(50, rng) for _ in range(30 * n)]
+    firsts = {}
+    for w, (rep, _) in zip(ws, solve(ws).per_input()):
+        firsts.setdefault(rep, w)
+    ws = tuple(firsts.values())[:n]
+    assert len(ws) == n
+    return ws
+
+
 class TestConjugatePairs:
     def test_finds_planted_pair(self):
         assert conjugate_pairs(["b", "c", "aba"]) == (0, 2)
@@ -332,7 +348,15 @@ class TestConjugatePairs:
             ws = [rand_reduced(50, rng) for _ in range(300)]
             assert conjugate_pairs(ws) == self.first_pair_of_solve(ws), seed
 
-    # The first chunks of inputs end at 16 and 48 (engine.PAIR_CHUNK).
+    def check_planted(self, n, planted, first):
+        ws = list(pairwise_distinct(n))
+        rng = random.Random(5)
+        for i, j in planted:
+            x = rand_reduced(rng.randrange(1, 20), rng)
+            ws[j] = reduce(inverse(x) + ws[i] + x)
+        assert conjugate_pairs(ws) == self.first_pair_of_solve(ws) == first
+
+    # With a first chunk of 16 the chunks end at 16 and 48.
     @pytest.mark.parametrize(
         "planted, first",
         [
@@ -347,18 +371,17 @@ class TestConjugatePairs:
             ([(2, 49), (20, 48)], (20, 48)),
         ],
     )
-    def test_planted_pairs_around_chunk_ends(self, planted, first):
-        rng = random.Random(5)
-        ws = [rand_reduced(50, rng) for _ in range(200)]
-        firsts = {}
-        for w, (rep, _) in zip(ws, solve(ws).per_input()):
-            firsts.setdefault(rep, w)
-        ws = list(firsts.values())[:60]
-        assert len(ws) == 60  # pairwise non-conjugate
-        for i, j in planted:
-            x = rand_reduced(rng.randrange(1, 20), rng)
-            ws[j] = reduce(inverse(x) + ws[i] + x)
-        assert conjugate_pairs(ws) == self.first_pair_of_solve(ws) == first
+    def test_planted_pairs_around_chunk_ends(self, monkeypatch, planted, first):
+        monkeypatch.setattr(engine, "PAIR_CHUNK", 16)
+        self.check_planted(60, planted, first)
+
+    @pytest.mark.parametrize("end", [1, 3])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_planted_pairs_around_the_module_chunk_ends(self, end, offset):
+        # The chunks of engine.PAIR_CHUNK inputs, then twice as many, end
+        # at 1 and 3 times PAIR_CHUNK.
+        j = end * engine.PAIR_CHUNK + offset
+        self.check_planted(3 * engine.PAIR_CHUNK + 2, [(7, j)], (7, j))
 
     def test_bad_word_after_the_pair_raises(self, rng):
         # Every input is parsed before the first chunk is read.
