@@ -74,7 +74,7 @@ from .quotient import (
     q_odd_cosets,
     relative,
 )
-from .words import parse, split_level
+from .words import parse_all, split_level
 
 ROW_CAPACITY = 256
 
@@ -370,8 +370,9 @@ def collect_universe(inputs, table: ConjTable) -> list:
 
 
 def solve(inputs) -> SolveResult:
-    """Process all inputs (and their splitting trees) into one table."""
-    inputs = [parse(w) for w in inputs]
+    """Process all inputs (and their splitting trees) into one table; the
+    result's ``inputs`` is a new list, ``words.parse_all`` of them."""
+    inputs = parse_all(inputs)
     table = ConjTable()
     table.add(inputs)
     return SolveResult(table, inputs)
@@ -394,14 +395,15 @@ def conjugate_pairs(inputs):
 
     "First" means the smallest j that has a conjugate among the inputs
     before it, paired with the first of those.  Every input is parsed up
-    front, so a bad word anywhere in the list raises.  The inputs then
-    join one table in chunks, ``PAIR_CHUNK`` of them first and each chunk
-    twice the last, and the scan stops at the chunk holding the first
-    pair: the first pair within a prefix is the first pair of the list.
-    So the call reads only the prefix it needs, and its cost is linear in
-    that prefix, plus the parse of every input.
+    front, by ``words.parse_all``, so a bad word anywhere in the list
+    raises.  The inputs then join one table in chunks, ``PAIR_CHUNK`` of
+    them first and each chunk twice the last, and the scan stops at the
+    chunk holding the first pair: the first pair within a prefix is the
+    first pair of the list.  So the call reads only the prefix it needs,
+    and its cost is linear in that prefix, plus the parse of every input:
+    a few C-level passes over the list's join when its words are reduced.
     """
-    inputs = [parse(w) for w in inputs]
+    inputs = parse_all(inputs)
     table = ConjTable()
     lam1 = table.lambda1
     seen = {}

@@ -394,8 +394,8 @@ def find_conjugator(u: str, v: str, g: int | None = None):
     """
     if g is not None and (type(g) is not int or not 0 <= g < 16):
         raise ValueError(f"g must be a coset id in 0..15, got {g!r}")
-    u, v = parse(u), parse(v)
     solved = engine.solve([u, v])
+    u, v = solved.inputs
     q = solved.q_set(u, v)
     if not q:
         return None

@@ -115,6 +115,33 @@ class TestPairsCommand:
                 assert captured.out == ""
                 assert captured.err.splitlines() == ["error: invalid symbol(s) ['x'] in 'abx'"]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # "|" is the separator of the whole-list check.
+            ("b\nab|ab\naba\n", "error: invalid symbol(s) ['|'] in 'ab|ab'"),
+            ("b\naba\nabá\n", "error: invalid symbol(s) ['á'] in 'abá'"),
+        ],
+    )
+    def test_separator_or_non_ascii_letter_is_an_error(self, tmp_path, capsys, text, message):
+        f = tmp_path / "words.txt"
+        f.write_text(text, encoding="utf-8")
+        for extra in ([], ["--json"]):
+            assert cli.run(extra + ["pairs", str(f)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [message]
+
+    def test_identity_and_unreduced_lines(self, tmp_path, capsys):
+        # "1" and aabaa (= b) send the file through the per-line parse; the
+        # same list in reduced words takes the whole-list check.
+        f = tmp_path / "words.txt"
+        f.write_text("ab\n1\naabaa\nc\nb\n")
+        assert engine.conjugate_pairs(["ab", "", "b", "c", "b"]) == (2, 4)
+        for extra, want in (([], ["2 4"]), (["--json"], ['{"pair": [2, 4]}'])):
+            code, lines = run_lines(capsys, *extra, "pairs", str(f))
+            assert code == 0 and lines == want
+
 
 class TestConjugatorCommand:
     def test_finds_and_verifies(self, capsys):

@@ -348,6 +348,13 @@ class TestConjugatePairs:
             ws = [rand_reduced(50, rng) for _ in range(300)]
             assert conjugate_pairs(ws) == self.first_pair_of_solve(ws), seed
 
+    def test_batch_short_shaped_lists_match_solve(self):
+        # 2000 reduced words of 50 letters, as the batch-short benchmark.
+        for seed in (1, 7):
+            rng = random.Random(seed)
+            ws = [rand_reduced(50, rng) for _ in range(2000)]
+            assert conjugate_pairs(ws) == self.first_pair_of_solve(ws), seed
+
     def check_planted(self, n, planted, first):
         ws = list(pairwise_distinct(n))
         rng = random.Random(5)

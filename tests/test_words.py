@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +24,7 @@ from grigconj.words import (
     iter_reduced_words,
     norm,
     parse,
+    parse_all,
     phi_pair,
     product,
     reduce,
@@ -146,6 +150,77 @@ class TestParse:
             res = solve(texts)
             assert res.inputs == want
             assert res.per_input() == solve(want).per_input()
+
+
+def _outcome(fn, texts):
+    """What ``fn(texts)`` returns, or the type and message it raises."""
+    try:
+        return fn(texts)
+    except InvalidCharacter as exc:
+        return type(exc), str(exc)
+
+
+def _per_word(texts):
+    return [parse(t) for t in texts]
+
+
+class TestParseAll:
+    """``parse_all`` against per-word ``parse``, whose ``is_reduced`` is
+    the one statement of the alternation rule."""
+
+    def test_fuzzed_lists_match_per_word_parse(self):
+        rng = random.Random(33)
+        # A lone surrogate, which str.encode rejects, besides an a-acute.
+        pieces = list("abcd") * 4 + ["1", "", "|", " ", "x", "\u00e1", "\ud800"]
+        others = [None, b"ab", _Text("ab")]
+        for _ in range(5000):
+            texts = []
+            for _ in range(rng.randrange(7)):
+                r = rng.random()
+                if r < 0.05:
+                    texts.append(rng.choice(others))
+                elif r < 0.45:
+                    texts.append(rand_reduced(rng.randrange(12), rng))
+                else:
+                    texts.append("".join(rng.choices(pieces, k=rng.randrange(7))))
+            assert _outcome(parse_all, texts) == _outcome(_per_word, texts), texts
+
+    def test_every_pair_of_short_strings(self):
+        # 259 strings of at most 3 letters from "abcd|1": 67,081 lists.
+        texts = [""] + ["".join(p) for n in (1, 2, 3) for p in itertools.product("abcd|1", repeat=n)]
+        for u in texts:
+            for v in texts:
+                pair = [u, v]
+                assert _outcome(parse_all, pair) == _outcome(_per_word, pair), pair
+
+    @pytest.mark.parametrize("texts", [["ab|ab"], ["a|"], ["|"], ["ab", "a|b", "ab"]])
+    def test_separator_inside_a_word_raises_as_parse(self, texts):
+        with pytest.raises(InvalidCharacter, match=r"\['\|'\]") as got:
+            parse_all(texts)
+        assert (type(got.value), str(got.value)) == _outcome(_per_word, texts)
+
+    @pytest.mark.parametrize("texts", [["", "ab", ""], ["1", "ab"], [], [""], ["a", "a"], ["aa", "b"]])
+    def test_empty_and_identity_words(self, texts):
+        assert parse_all(texts) == _per_word(texts)
+
+    def test_first_bad_item_raises(self):
+        for texts in (["ab", "abx", None], ["ab", None, "abx"], ["ab", "a\u00e1", "x"]):
+            assert _outcome(parse_all, texts) == _outcome(_per_word, texts)
+
+    def test_reduced_list_is_a_new_list_of_the_same_strings(self, rng):
+        texts = [rand_reduced(50, rng) for _ in range(100)]
+        got = parse_all(texts)
+        assert got is not texts and got == texts
+        assert all(g is t for g, t in zip(got, texts))
+        assert parse_all(iter(texts)) == texts
+
+    def test_solve_keeps_its_own_inputs(self, rng):
+        for texts in ([rand_reduced(50, rng) for _ in range(20)], ["1", "abba", "b"]):
+            res = solve(texts)
+            want = list(res.inputs)
+            texts[0] = "c"
+            texts.append("d")
+            assert res.inputs == want
 
 
 class TestReduce:
