@@ -42,11 +42,8 @@ Ops model (``ops`` carries the paper's linearity claim):
   its read in shortlex order;
 - every row access charges the letters of the key's representatives,
   plus 1;
-- an odd word's two section cosets charge ``len(w0) + len(w1)``, one per
-  letter walked, at the split.  Only ``oc1``, which every probe of the
-  word reads, is walked there; ``oc0`` is walked when the word becomes a
-  representative or the conjugator search first reads it, and is never
-  charged again, so the counts are those of walking both at the split;
+- an odd word's two section cosets are walked at the split and charge
+  ``len(w0) + len(w1)`` there, one per letter walked;
 - a Q-set transport between words that share a representative charges
   16, and each Q formula 256, inside the probe loop of
   ``ConjTable.process``; a query after the solve (``SolveResult.q_set``,
@@ -96,11 +93,8 @@ class WordRecord:
         "word", "even",
         "child0", "child1",          # section records (even words)
         # Odd words: the record of y = s0·s1, where (s0, s1) are the
-        # sections of w·a, then s0 and s1 and their cosets.  ``oc1`` is
-        # walked when the word is split; ``oc0`` stays None until the word
-        # becomes a representative (a row member's ``oc0`` is read by every
-        # probe of its row) or the search reads it, through ``coset0``, as
-        # v's at an odd target.  ``ops`` charges both walks at the split.
+        # sections of w·a, then s0 and s1 and their cosets, all set when
+        # the word is split.
         "child", "sec0", "sec1", "oc0", "oc1",
         "rep", "q_to_rep",
     )
@@ -115,12 +109,6 @@ class WordRecord:
         self.oc0 = self.oc1 = None
         self.rep = None
         self.q_to_rep = 0
-
-    def coset0(self) -> int:
-        """The coset of ``sec0``, walked on the first read."""
-        if self.oc0 is None:
-            self.oc0 = coset(self.sec0)
-        return self.oc0
 
     def __repr__(self):
         rep = self.rep.word if self.rep is not None else None
@@ -169,8 +157,6 @@ class ConjTable:
             rec.rep = rec
             rec.q_to_rep = base_q()[rec.word]
         for rec in seeds:
-            if not rec.even:
-                rec.coset0()
             key, charge = _row_key(rec)
             self.ops += charge
             self.lambda2[key] = [rec]
@@ -191,14 +177,14 @@ class ConjTable:
         the new universe words they bring and process them in shortlex
         order.  Words already in the table cost one lookup each."""
         for rec in collect_universe(words, self):
-            if rec.rep is None:
-                self.process(rec)
+            self.process(rec)
 
-    def process(self, rec: WordRecord):
-        """Assign a representative to ``rec``, processing any unprocessed
-        odd chain below it first.  The chain never exceeds three records:
-        a third odd step would contradict the strict length decrease along
-        three tree edges.
+    def process(self, rec: WordRecord, _depth: int = 0):
+        """Assign a representative to ``rec``, unless it has one.  An odd
+        record whose product child has none processes that child first, by
+        a recursive call.  The recursion settles at most three records: a
+        third nested call would need a third odd step, which would
+        contradict the strict length decrease along three tree edges.
 
         A word's row is probed in one loop with the word itself as the last
         candidate: the first member with a non-empty Q-set against the word
@@ -206,75 +192,64 @@ class ConjTable:
         the row as a new member.  Each probe charges the Q formula's 256
         plus 16 per transport between words that share a representative,
         inline, as ``transport`` computes it."""
-        chain = [rec]
-        while True:
-            cur = chain[-1]
-            if cur.even:
-                if cur.child0.rep is None or cur.child1.rep is None:
-                    raise AssertionError(
-                        f"even word {cur.word!r} has unprocessed sections"
-                    )
-                break
-            if cur.child.rep is not None:
-                break
-            chain.append(cur.child)
-            if len(chain) > 3:
+        if rec.rep is not None:
+            return
+        if rec.even:
+            if rec.child0.rep is None or rec.child1.rep is None:
+                raise AssertionError(f"even word {rec.word!r} has unprocessed sections")
+        elif rec.child.rep is None:
+            if _depth == 2:
                 raise AssertionError("odd prerequisite chain deeper than 3")
-        ops = 0
-        for cur in reversed(chain):
-            if cur.rep is not None:
-                continue
-            key, charge = _row_key(cur)
-            ops += charge + len(cur.word) + 2
-            row = self.lambda2.setdefault(key, [])
-            row.append(cur)
-            if cur.even:
-                c0, c1 = cur.child0, cur.child1
-                r0, r1 = c0.rep, c1.rep
-                q0, q1 = c0.q_to_rep, c1.q_to_rep
-                for other in row:
-                    # The members' sections have the key's representatives,
-                    # so they pair with c0, c1 directly, crosswise, or both
-                    # ways when r0 is r1: two transports of 16 each way.
-                    d0, d1 = other.child0, other.child1
-                    direct = d0.rep is r0
-                    cross = d0.rep is r1
-                    ops += 256 + 32 * (direct + cross)
-                    q = q_even(
-                        relative(d0.q_to_rep, q0) if direct else 0,
-                        relative(d1.q_to_rep, q1) if direct else 0,
-                        relative(d0.q_to_rep, q1) if cross else 0,
-                        relative(d1.q_to_rep, q0) if cross else 0,
-                    )
-                    if q:
-                        break
-            else:
-                qp, cu1 = cur.child.q_to_rep, cur.oc1
-                for other in row:
-                    if other is cur:
-                        cur.coset0()
-                    # Every member's product word has the key as its
-                    # representative, so the transport always applies.
-                    ops += 272
-                    q = q_odd_cosets(
-                        relative(other.child.q_to_rep, qp), cu1, other.oc0, other.oc1
-                    )
-                    if q:
-                        break
-            if other is cur:
-                if len(row) > ROW_CAPACITY:
-                    row.pop()
-                    label = tuple(r.word for r in key) if cur.even else key.word
-                    raise CapacityViolation(
-                        f"row {label!r} would exceed {ROW_CAPACITY} members"
-                    )
-                if not q >> IDENTITY_COSET & 1:
-                    row.pop()
-                    raise AssertionError(f"Q({cur.word!r}, itself) misses the identity coset")
-            else:
+            self.process(rec.child, _depth + 1)
+        key, charge = _row_key(rec)
+        ops = charge + len(rec.word) + 2
+        row = self.lambda2.setdefault(key, [])
+        row.append(rec)
+        if rec.even:
+            c0, c1 = rec.child0, rec.child1
+            r0, r1 = c0.rep, c1.rep
+            q0, q1 = c0.q_to_rep, c1.q_to_rep
+            for other in row:
+                # The members' sections have the key's representatives,
+                # so they pair with c0, c1 directly, crosswise, or both
+                # ways when r0 is r1: two transports of 16 each way.
+                d0, d1 = other.child0, other.child1
+                direct = d0.rep is r0
+                cross = d0.rep is r1
+                ops += 256 + 32 * (direct + cross)
+                q = q_even(
+                    relative(d0.q_to_rep, q0) if direct else 0,
+                    relative(d1.q_to_rep, q1) if direct else 0,
+                    relative(d0.q_to_rep, q1) if cross else 0,
+                    relative(d1.q_to_rep, q0) if cross else 0,
+                )
+                if q:
+                    break
+        else:
+            qp, cu1 = rec.child.q_to_rep, rec.oc1
+            for other in row:
+                # Every member's product word has the key as its
+                # representative, so the transport always applies.
+                ops += 272
+                q = q_odd_cosets(
+                    relative(other.child.q_to_rep, qp), cu1, other.oc0, other.oc1
+                )
+                if q:
+                    break
+        if other is rec:
+            if len(row) > ROW_CAPACITY:
                 row.pop()
-            cur.rep = other
-            cur.q_to_rep = q
+                label = tuple(r.word for r in key) if rec.even else key.word
+                raise CapacityViolation(
+                    f"row {label!r} would exceed {ROW_CAPACITY} members"
+                )
+            if not q >> IDENTITY_COSET & 1:
+                row.pop()
+                raise AssertionError(f"Q({rec.word!r}, itself) misses the identity coset")
+        else:
+            row.pop()
+        rec.rep = other
+        rec.q_to_rep = q
         self.ops += ops
 
 
@@ -361,8 +336,8 @@ def collect_universe(inputs, table: ConjTable) -> list:
                 rec.child = get(y) or new(y)
                 rec.sec0 = w0
                 rec.sec1 = w1
+                rec.oc0 = coset(w0)
                 rec.oc1 = coset(w1)
-                # Both section cosets are charged; oc0 is walked on demand.
                 ops += len(y) + 1 + len(w0) + len(w1)
     ordered = shortlex_order(words_out)
     table.ops += ops + 2 * (sum(map(len, ordered)) + len(ordered))

@@ -302,11 +302,9 @@ class _Searcher:
         The sections, product words, section cosets and Q-sets are the
         ones the solve stored.  The witnesses come from ``quotient``'s
         tables, ``even_witnesses`` or ``odd_witnesses``, filtered by the
-        Q-sets of the sections or of the product; for an odd target the
-        odd table reads v's first section coset, walked on its first read
-        if the solve left it unwalked (``WordRecord.coset0``).  Each is
-        found through the memo, and the one with the shortest
-        sub-conjugators is lifted; ties go to the first in coset order.
+        Q-sets of the sections or of the product.  Each is found through
+        the memo, and the one with the shortest sub-conjugators is lifted;
+        ties go to the first in coset order.
         The cosets of the words lifted come with the witness, so no word
         is walked for its coset before the lift.  A slot of two universe
         words is read from the base table, which fills it on that read.
@@ -344,7 +342,7 @@ class _Searcher:
             q_prod = transport(rp, rq)
             p, q = rp.word, rq.word
             best = None
-            for gp, c0, c1 in odd_witnesses(ru.oc1, rv.oc1 if direct else rv.coset0(), g):
+            for gp, c0, c1 in odd_witnesses(ru.oc1, rv.oc1 if direct else rv.oc0, g):
                 if q_prod >> gp & 1:
                     z = find(p, q, gp)
                     if best is None or len(z) < len(best[0]):

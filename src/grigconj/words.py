@@ -261,7 +261,10 @@ def parse(text: str) -> str:
 def parse_all(texts) -> list:
     """``[parse(t) for t in texts]``, checked in a few C-level passes when
     every item is a ``str`` and already a reduced word (see the module
-    docstring); the result is then a new list of the same strings."""
+    docstring); the result is then a new list of the same strings.  A
+    bare ``str`` is not a list of words and raises ``TypeError``."""
+    if isinstance(texts, str):
+        raise TypeError("expected a list of words, got a str")
     texts = list(texts)
     if set(map(type, texts)) <= {str}:
         joined = "|".join(texts)
@@ -382,12 +385,14 @@ def _reduce_level(sections: str) -> list:
 
 
 def split_children(w: str) -> list[str]:
-    """Children of ``w`` in its splitting tree.
+    """Children of ``w`` in its splitting tree, after ``w`` is reduced.
 
     Words of length <= 1 are leaves.  A word with even a-count splits
     into its two sections; otherwise the single child is the reduced
     product of the sections of ``w·a``.
     """
+    if not is_reduced(w):
+        w = reduce(w)
     if len(w) <= 1:
         return []
     w0, w1, y = split_level([w])[0]

@@ -108,6 +108,53 @@ class TestUniverse:
             assert rec.q_to_rep == solver.q(w, rec.rep.word)
 
 
+class TestProcessInvariants:
+    """``process`` leaves a processed record as it is, and refuses a
+    record whose prerequisites break the splitting tree's bounds,
+    changing nothing before it does."""
+
+    @staticmethod
+    def state(table):
+        return (
+            {key: list(row) for key, row in table.lambda2.items()},
+            table.ops,
+            {w: rec.rep for w, rec in table.lambda1.items()},
+        )
+
+    def test_processed_record_is_left_as_is(self):
+        res = solve(["ab", "abab"])
+        before = self.state(res.table)
+        for rec in res.table.lambda1.values():
+            res.table.process(rec)
+        assert self.state(res.table) == before
+
+    def test_four_deep_odd_chain(self):
+        # ab -> ca -> ad is the real three-deep chain; one more odd record
+        # on top, made by hand since no word has one, needs a fourth.
+        table = ConjTable()
+        collect_universe(["ab"], table)
+        top = WordRecord("top")
+        top.even = False
+        top.child = table.lambda1["ab"]
+        before = self.state(table)
+        with pytest.raises(AssertionError, match="deeper than 3"):
+            table.process(top)
+        assert self.state(table) == before
+        assert top.rep is None
+
+    @pytest.mark.parametrize("processed", [(), (0,), (1,)])
+    def test_even_record_with_unprocessed_section(self, processed):
+        table = ConjTable()
+        collect_universe(["abab"], table)
+        rec = table.lambda1["abab"]
+        for i in processed:
+            table.process((rec.child0, rec.child1)[i])
+        before = self.state(table)
+        with pytest.raises(AssertionError, match="has unprocessed sections"):
+            table.process(rec)
+        assert self.state(table) == before
+
+
 class TestSolveBasics:
     def test_b_keeps_its_row(self):
         res = solve(["b"])
@@ -695,26 +742,24 @@ class TestPinnedBatch:
         assert len(res.table.lambda1) == universe
 
 
-class TestLazySectionCosets:
-    """An odd word's first section coset is walked when the word becomes a
-    representative; every other odd record keeps None, which no coset
-    table accepts as an index."""
+class TestCompleteRecords:
+    """Every odd record is complete once it is split: representative or
+    not, both section cosets are walked there, and ``ops`` (the values of
+    ``TestPinnedBatch``) charges them there."""
 
-    @pytest.mark.parametrize("count,length,seed", [(300, 50, 3), (20, 2000, 4)])
-    def test_only_representatives_walk_oc0(self, count, length, seed):
+    @pytest.mark.parametrize(
+        "count,length,seed,ops", [(300, 50, 3, 537815), (20, 2000, 4, 543706)]
+    )
+    def test_every_odd_record_has_both_cosets(self, count, length, seed, ops):
         rng = random.Random(seed)
         res = solve([rand_reduced(length, rng) for _ in range(count)])
         odd = [rec for rec in res.table.lambda1.values() if not rec.even]
         others = [rec for rec in odd if rec.rep is not rec]
         assert others and len(others) < len(odd)
         for rec in odd:
+            assert rec.oc0 == coset(rec.sec0)
             assert rec.oc1 == coset(rec.sec1)
-            if rec.rep is rec:
-                assert rec.oc0 == coset(rec.sec0)
-            else:
-                assert rec.oc0 is None
-        for rec in others:
-            assert rec.coset0() == coset(rec.sec0) == rec.oc0
+        assert res.ops == ops
 
 
 class TestTableInvariants:

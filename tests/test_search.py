@@ -624,8 +624,7 @@ class TestConjugatorBytes:
 
 class TestSearchReadsTheSolve:
     """A search reads the solve it was given: it charges no operations,
-    and walks a first section coset the solve left unwalked on its first
-    read."""
+    and every section coset it reads was walked by the solve."""
 
     def test_queries_charge_no_ops(self):
         u, v = "abacabad", "dabacaba"
@@ -637,12 +636,16 @@ class TestSearchReadsTheSolve:
         assert res.ops == ops
 
     def test_odd_cosets_read_are_walked(self, monkeypatch):
+        # A searcher is made as soon as its solve returns, before any read:
+        # keep each odd record's cosets as they are then.
         made = []
 
         class Recording(search_mod._Searcher):
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
+            def __init__(self, solved, *args, **kwargs):
+                odd = [(rec, rec.oc0, rec.oc1)
+                       for rec in solved.table.lambda1.values() if not rec.even]
+                made.append((solved, solved.ops, odd))
+                super().__init__(solved, *args, **kwargs)
 
         monkeypatch.setattr(search_mod, "_Searcher", Recording)
         rng = random.Random(5)
@@ -650,24 +653,15 @@ class TestSearchReadsTheSolve:
             v = rand_reduced(rng.randrange(20, 80), rng)
             x = rand_reduced(rng.randrange(0, 40), rng)
             assert find_conjugator(reduce(inverse(x) + v + x), v) is not None
-        even_cosets = get_tables().even_cosets
-        walked = unwalked = 0
-        for searcher in made:
-            odd = [(searcher.solved.record(u), searcher.solved.record(v), g)
-                   for u, v, g in searcher.memo
-                   if not (u in search_mod._BASE_WORDS and v in search_mod._BASE_WORDS)
-                   and not searcher.solved.record(u).even]
-            # The search reads v's first coset for an odd target only, and
-            # u's never; otherwise only a representative's is walked.
-            read = {rv for _, rv, g in odd if not even_cosets >> g & 1}
-            for ru, rv, g in odd:
-                if rv in read:
-                    assert rv.oc0 == coset(rv.sec0), rv
-                    walked += rv.rep is not rv
-                if ru.rep is not ru and ru not in read:
-                    assert ru.oc0 is None, ru
-                    unwalked += 1
-        assert walked and unwalked
+        assert len(made) == 20
+        for solved, ops, odd in made:
+            assert any(rec.rep is not rec for rec, _, _ in odd)
+            for rec, oc0, oc1 in odd:
+                assert (oc0, oc1) == (coset(rec.sec0), coset(rec.sec1)), rec
+            # The search charges nothing.
+            assert solved.ops == ops
+        # The solves' operation count, pinned.
+        assert sum(ops for _, ops, _ in made) == 123728
 
 
 class TestSearchMemo:

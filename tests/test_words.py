@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import rand_reduced
 from grigconj import words
-from grigconj.engine import solve
+from grigconj.engine import conjugate_pairs, solve
 from grigconj.words import (
     ALPHA,
     EXACT_WEIGHTS,
@@ -214,6 +214,13 @@ class TestParseAll:
         assert all(g is t for g, t in zip(got, texts))
         assert parse_all(iter(texts)) == texts
 
+    @pytest.mark.parametrize("call", [parse_all, solve, conjugate_pairs])
+    def test_bare_str_is_not_a_list_of_words(self, call):
+        # Read as a list, "abab" would be four one-letter words.
+        with pytest.raises(TypeError, match="expected a list of words, got a str"):
+            call("abab")
+        assert parse_all(("ab", "aabaa")) == ["ab", "b"]
+
     def test_solve_keeps_its_own_inputs(self, rng):
         for texts in ([rand_reduced(50, rng) for _ in range(20)], ["1", "abba", "b"]):
             res = solve(texts)
@@ -407,10 +414,17 @@ class TestSplitChildren:
             ("d", []),
             ("", []),
             ("a", []),
+            # Unreduced words: (bc)^9 = d and aabaa = b are leaves.
+            ("bcbcbcbcbcbcbcbcbc", []),
+            ("aabaa", []),
         ],
     )
     def test_examples(self, w, expected):
         assert split_children(w) == expected
+
+    @given(st.text(alphabet="abcd", max_size=40))
+    def test_unreduced_text_splits_as_its_reduction(self, text):
+        assert split_children(text) == split_children(reduce(text))
 
     def test_length_monotone(self, rng):
         for _ in range(300):
