@@ -58,14 +58,11 @@ def _cmd_conj(args) -> int:
 
 
 def _read_words_file(path: str) -> list:
-    out = []
+    # Text mode turns CRLF and CR into "\n"; splitlines() would also split
+    # on "\x0c", "\x85" and "\u2028".
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            out.append(line)
-    return out
+        lines = map(str.strip, fh.read().split("\n"))
+    return [line for line in lines if line and line[0] != "#"]
 
 
 def _cmd_pairs(args) -> int:

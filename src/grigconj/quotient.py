@@ -387,13 +387,6 @@ def _tables_from_group(depth: int) -> QuotientTables | None:
     )
 
 
-@functools.cache
-def base_q() -> dict:
-    """The certified Q-sets of the five one-letter words, derived on first
-    use, so a ``SandwichGap`` raises at the first solve."""
-    return derive_base_q()
-
-
 def derive_base_q() -> dict:
     """Certified Q-sets of the five one-letter words.
 
@@ -435,6 +428,11 @@ def derive_base_q() -> dict:
         gaps = {g: upper[g] & ~lower[g] for g in "abcd" if upper[g] != lower[g]}
         raise SandwichGap(f"unwitnessed cosets after length {_MAX_WITNESS_LEN}: {gaps}")
     return upper
+
+
+# The certified Q-sets of the five one-letter words, derived on first use,
+# so a ``SandwichGap`` raises at the first solve.
+base_q = functools.cache(derive_base_q)
 
 
 _TABLES: QuotientTables | None = None

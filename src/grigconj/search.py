@@ -15,9 +15,9 @@ coset) that lives for one ``find_conjugator`` call finds each
 sub-conjugator once.  The recursion bottoms out in the
 finite universe of the 201 words of norm < 11, whose conjugators come
 from a brute-force table keyed on (u, v, coset): 9688 slots, the longest
-witness 13 letters.  It fills each slot on its first lookup with the
-first conjugator in shortlex order, scanning that coset's list of one
-shortlex enumeration of reduced words that every slot shares.
+witness 13 letters.  The table fills each slot on its first lookup with
+the first conjugator in shortlex order, scanning that coset's list of
+the shortlex enumeration of reduced words that the table owns.
 
 Checks.  One searcher class runs every search.  It asserts only two cheap
 bounds as it goes: the length of each lift and the length recurrence of
@@ -163,94 +163,77 @@ def _check_lift(x0: str, x1: str, x: str) -> None:
 _BASE_WORDS = frozenset(_norm_ball(11.0))
 # The length cap of a base-table witness; the longest of the 9688 slots'
 # is 13.  A slot of two universe words with no witness walks every word
-# of its coset up to the cap before it raises, and the shared enumeration
+# of its coset up to the cap before it raises, and the table's enumeration
 # keeps every word up to the cap: 0.03 s and 3 MB at 16 letters, 0.2 s
 # and 39 MB at 20.
 _BASE_MAX_LEN = 16
 
 
-class _ShortlexCosets:
-    """Reduced words in shortlex order, split into 16 lists by coset and
-    grown one length at a time, only as far as a reader needs.
+class _BaseTable(dict):
+    """A dict whose miss on a key (u, v, g) of two universe words fills
+    that one slot, under the table's lock; any other key raises
+    ``KeyError``.
 
-    ``words[g]`` lists, in shortlex order, every word of coset g of at
-    most ``length`` letters.  The next length extends the words of this
-    one, each kept with its coset, so a new word's coset is one product
-    in the quotient from its parent's.
+    A slot's witness is the first one in the table's shortlex enumeration
+    of reduced words, grown one length at a time and only as far as a
+    scan needs.  ``cosets[g]`` lists, in shortlex order, every word of
+    coset g of at most ``length`` letters; ``last`` holds the words of
+    ``length`` letters, each with its coset.  The next length extends
+    those, so a new word's coset is one product in the quotient from its
+    parent's.  The lists grow only under the lock.
     """
 
     def __init__(self):
-        self.words = [[] for _ in range(16)]
-        self.words[IDENTITY_COSET].append("")
+        self.lock = threading.Lock()
+        self.cosets = [[] for _ in range(16)]
+        self.cosets[IDENTITY_COSET].append("")
+        self.last = [("", IDENTITY_COSET)]
         self.length = 0
-        self._last = [("", IDENTITY_COSET)]
-
-    def iter_coset(self, g: int, max_len: int):
-        """Yield the words of coset g of at most ``max_len`` letters in
-        shortlex order, growing the lists when the reader passes their
-        end."""
-        words = self.words[g]
-        i = 0
-        while True:
-            while i < len(words):
-                x = words[i]
-                if len(x) > max_len:
-                    return
-                yield x
-                i += 1
-            if self.length >= max_len:
-                return
-            self._grow()
-
-    def _grow(self):
-        t = get_tables()
-        mul, gen = t.mul, t.gen_coset
-        words = self.words
-        last = []
-        for w, c in self._last:
-            row = mul[c]
-            for ch in _extensions(w):
-                x, cx = w + ch, row[gen[ch]]
-                words[cx].append(x)
-                last.append((x, cx))
-        self._last = last
-        self.length += 1
-
-
-# The one enumeration every slot scans: it grows under ``_BASE_LOCK``.
-_SHORTLEX = _ShortlexCosets()
-
-
-def _first_conjugator(u: str, v: str, g: int) -> str:
-    """The first x in shortlex order in coset g with red(x^-1 v x) equal
-    to u, literally or in the group.  Raises ``BaseIncomplete`` if there
-    is no such x of at most ``_BASE_MAX_LEN`` letters."""
-    for x in _SHORTLEX.iter_coset(g, _BASE_MAX_LEN):
-        y = product(product(inverse(x), v), x)
-        if u == y or equal(u, y):
-            return x
-    raise BaseIncomplete(
-        f"slot ({u!r}, {v!r}, {g}) unwitnessed at length {_BASE_MAX_LEN}"
-    )
-
-
-class _BaseTable(dict):
-    """A dict whose miss on a key (u, v, g) of two universe words fills
-    that one slot, under ``_BASE_LOCK``; any other key raises
-    ``KeyError``."""
 
     def __missing__(self, key):
         u, v, g = key
         if u not in _BASE_WORDS or v not in _BASE_WORDS:
             raise KeyError(key)
-        with _BASE_LOCK:
+        with self.lock:
             x = self.get(key)
             if x is None:
-                x = self[key] = _first_conjugator(u, v, g)
+                x = self[key] = self._first_conjugator(u, v, g)
         return x
 
+    def _first_conjugator(self, u: str, v: str, g: int) -> str:
+        """The first x in shortlex order in coset g with red(x^-1 v x)
+        equal to u, literally or in the group.  Raises ``BaseIncomplete``
+        if there is no such x of at most ``_BASE_MAX_LEN`` letters."""
+        words, i = self.cosets[g], 0
+        while i < len(words) or self.length < _BASE_MAX_LEN:
+            if i == len(words):
+                self._grow()
+                continue
+            x = words[i]
+            if len(x) > _BASE_MAX_LEN:
+                break
+            y = product(product(inverse(x), v), x)
+            if u == y or equal(u, y):
+                return x
+            i += 1
+        raise BaseIncomplete(
+            f"slot ({u!r}, {v!r}, {g}) unwitnessed at length {_BASE_MAX_LEN}"
+        )
 
-_BASE_LOCK = threading.Lock()
+    def _grow(self):
+        t = get_tables()
+        mul, gen, cosets = t.mul, t.gen_coset, self.cosets
+        last = []
+        for w, c in self.last:
+            row = mul[c]
+            for ch in _extensions(w):
+                x, cx = w + ch, row[gen[ch]]
+                cosets[cx].append(x)
+                last.append((x, cx))
+        self.last = last
+        self.length += 1
+
+
 _BASE = _BaseTable()
 
 
@@ -355,16 +338,12 @@ class _Searcher:
             x0 = z if direct else product(z, inverse(ru.sec1))
             x1 = product(product(rv.sec1, x0), inverse(ru.sec1 if direct else ru.sec0))
             child_len = len(z)
-        x = self._lift(x0, x1, c0, c1)
-        if not direct:
-            x = product(x, "a")
-        return self._check(u, v, x, child_len)
-
-    def _lift(self, x0: str, x1: str, c0: int, c1: int) -> str:
         x = _lift(x0, x1, c0, c1)
         if self.checked:
             _check_lift(x0, x1, x)
-        return x
+        if not direct:
+            x = product(x, "a")
+        return self._check(u, v, x, child_len)
 
     def _check(self, u: str, v: str, x: str, child_len: int) -> str:
         bound = 4 * child_len + 4 * (len(u) + len(v)) + 11

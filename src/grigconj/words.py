@@ -95,9 +95,13 @@ def _klein_product(run: str) -> str:
 
 
 class _RunProducts(dict):
+    # Only star runs are stored, so a lookup of any other run lands here.
     def __missing__(self, run: str) -> str:
+        if run.strip(STARS):
+            bad = sorted(set(run) - set(STARS))
+            raise InvalidCharacter(f"invalid symbol(s) {bad} in {run!r}")
         got = _klein_product(run)
-        if len(run) <= _RUN_TABLE_MAX and not run.strip(STARS):
+        if len(run) <= _RUN_TABLE_MAX:
             self[run] = got
         return got
 
@@ -172,10 +176,13 @@ def reduce(letters: str) -> str:
     merges its neighbours, in the stack pass :func:`_cancel` (see the
     module docstring), which is skipped when no ``"aa"`` is left.  The
     result is a word equal to the input in the group, with norm no larger
-    than the input's.
+    than the input's.  A letter outside "abcd" raises
+    :class:`InvalidCharacter`.
     """
     codes = list(map(_RUN.__getitem__, letters.split("a")))
     out = "a".join(codes)
+    if "|" in out:  # the one stored run that is not stars: the barrier
+        raise InvalidCharacter(f"invalid symbol(s) ['|'] in {letters!r}")
     if "aa" not in out:
         return out
     return "a".join(_cancel(codes))
@@ -320,7 +327,8 @@ def phi_pair(w: str) -> tuple[str, str]:
       psi(b) = (a, c)    psi(aba) = (c, a)
       psi(c) = (a, d)    psi(aca) = (d, a)
       psi(d) = (1, b)    psi(ada) = (b, 1)
-    Short reduced words are memoized.
+    Short reduced words are memoized.  Unreduced input is reduced first,
+    so a letter outside "abcd" raises :class:`InvalidCharacter`.
     """
     got = _SECTIONS.get(w)
     if got is not None:
@@ -389,7 +397,8 @@ def split_children(w: str) -> list[str]:
 
     Words of length <= 1 are leaves.  A word with even a-count splits
     into its two sections; otherwise the single child is the reduced
-    product of the sections of ``w·a``.
+    product of the sections of ``w·a``.  A letter outside "abcd" raises
+    :class:`InvalidCharacter`, from :func:`reduce`.
     """
     if not is_reduced(w):
         w = reduce(w)

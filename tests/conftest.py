@@ -17,16 +17,17 @@ def tables():
 def full_base_table() -> dict:
     """Every slot ``{(u, v, g): x}`` of the base conjugator table, in a
     fresh dict: v, then u, over ``search._BASE_WORDS`` in shortlex order,
-    and g over Q(u, v) from one solve of those words.  Its values are the
-    ones ``search.get_base_table()`` fills on demand."""
+    and g over Q(u, v) from one solve of those words.  Each slot is filled
+    by a lookup in a fresh ``search._BaseTable``, as
+    ``search.get_base_table()`` fills it on demand."""
     universe = sorted(search._BASE_WORDS, key=lambda w: (len(w), w))
     solved = engine.solve(universe)
-    return {
-        (u, v, g): search._first_conjugator(u, v, g)
-        for v in universe
-        for u in universe
-        for g in quotient.mask_cosets(solved.q_set(u, v))
-    }
+    table = search._BaseTable()
+    for v in universe:
+        for u in universe:
+            for g in quotient.mask_cosets(solved.q_set(u, v)):
+                table[(u, v, g)]
+    return dict(table)
 
 
 @pytest.fixture(scope="session")

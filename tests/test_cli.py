@@ -90,6 +90,35 @@ class TestPairsCommand:
         code, lines = run_lines(capsys, "pairs", str(f))
         assert code == 1 and lines == ["NONE"]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# comment\nb\nc\naba\n",
+            "# comment\r\nb\r\nc\r\naba\r\n",
+            "# comment\rb\rc\raba\r",
+            "# comment\nb\nc\naba",
+            "  # indented comment\r\n\r\n\tb \r\n \r\nc\r\n  aba",
+        ],
+        ids=["lf", "crlf", "cr", "no-final-newline", "indented-comment"],
+    )
+    def test_line_endings(self, tmp_path, capsys, text):
+        f = tmp_path / "words.txt"
+        f.write_bytes(text.encode())
+        code, lines = run_lines(capsys, "pairs", str(f))
+        assert code == 0 and lines == ["0 2"]
+
+    @pytest.mark.parametrize("sep", ["\x0c", "\x85", "\u2028"])
+    def test_only_line_endings_split_lines(self, tmp_path, capsys, sep):
+        # b<sep>aba is one line with a bad letter, not the lines b and aba.
+        f = tmp_path / "words.txt"
+        f.write_bytes(f"c\nb{sep}aba\n".encode())
+        assert cli.run(["pairs", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: invalid symbol(s) [{sep!r}] in {'b' + sep + 'aba'!r}"
+        ]
+
     def test_missing_file(self, capsys):
         assert cli.run(["pairs", "/nonexistent/file.txt"]) == 2
 

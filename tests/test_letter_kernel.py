@@ -211,13 +211,16 @@ class TestMemo:
 class TestRunTable:
     def test_stores_only_short_star_runs(self):
         # Runs of up to _RUN_TABLE_MAX stars are stored on first use;
-        # longer runs and other keys are computed and not stored.
+        # longer runs are computed and not stored, and a run with any
+        # other letter raises.
         longest = words._RUN_TABLE_MAX
         for n in range(3 * longest):
             for run in ("b" * n, "cd" * n, "dbc" * n):
                 assert reduce("a" + run + "a") == ref.reduce("a" + run + "a")
         assert words._RUN["|"] == "|"
-        assert words._RUN["xddd"] == "d" and "xddd" not in words._RUN
+        with pytest.raises(words.InvalidCharacter):
+            words._RUN["xddd"]
+        assert "xddd" not in words._RUN
         assert words._RUN["bcdbcdbcd"] == "" and "bcdbcdbcd" not in words._RUN
         for run, got in words._RUN.items():
             if run != "|":

@@ -715,14 +715,14 @@ class TestBaseTableCompleteness:
             full_base_table()
 
     def test_cap_holds_once_the_shared_words_are_longer(self, monkeypatch, fresh_base, base_table):
-        # A slot whose witness has 4 letters grows the shared shortlex
+        # A slot whose witness has 4 letters grows the table's shortlex
         # lists to at least 4 letters.  With the cap then lowered to 3, a
         # slot whose witness is longer than 3 letters is unwitnessed, and
         # stays unfilled, though its witness is already in the lists.
         long = [key for key, x in base_table.items() if len(x) == 4]
         first, key = long[0], long[-1]
         assert fresh_base[first] == base_table[first]
-        assert search_mod._SHORTLEX.length >= 4
+        assert fresh_base.length >= 4
         monkeypatch.setattr(search_mod, "_BASE_MAX_LEN", 3)
         with pytest.raises(search_mod.BaseIncomplete, match=r"unwitnessed at length 3$"):
             fresh_base[key]
@@ -755,14 +755,14 @@ class TestGetBaseTable:
         # Four threads miss on the same slot at once: one of them fills
         # it, and every caller gets the same table and conjugator.
         fills = []
-        first = search_mod._first_conjugator
+        first = search_mod._BaseTable._first_conjugator
 
-        def slow_fill(*key):
+        def slow_fill(self, *key):
             fills.append(key)
             time.sleep(0.05)
-            return first(*key)
+            return first(self, *key)
 
-        monkeypatch.setattr(search_mod, "_first_conjugator", slow_fill)
+        monkeypatch.setattr(search_mod._BaseTable, "_first_conjugator", slow_fill)
         key = ("aba", "b", get_tables().gen_coset["a"])
 
         def lookup():
@@ -776,13 +776,11 @@ class TestGetBaseTable:
         assert fresh_base == {key: base_table[key]}
 
 
-    def test_concurrent_fills_share_one_enumeration(self, monkeypatch, fresh_base, base_table):
+    def test_concurrent_fills_share_one_enumeration(self, fresh_base, base_table):
         # Four threads fill the same long-witness slots of a fresh table, in
-        # different orders, from a fresh shared enumeration that each fill
+        # different orders, from the table's one enumeration that each fill
         # grows: every slot gets its witness, and every list holds each
         # word of its coset once, in shortlex order.
-        shortlex = search_mod._ShortlexCosets()
-        monkeypatch.setattr(search_mod, "_SHORTLEX", shortlex)
         keys = [key for key, x in base_table.items() if len(x) >= 11][:8]
         turns = itertools.count()
 
@@ -793,10 +791,27 @@ class TestGetBaseTable:
         expected = {key: base_table[key] for key in keys}
         assert run_in_threads(fill) == [expected] * 4
         assert fresh_base == expected
-        for g, words in enumerate(shortlex.words):
+        for g, words in enumerate(fresh_base.cosets):
             assert words == sorted(set(words), key=lambda w: (len(w), w))
             assert all(coset(w) == g for w in words)
-        assert sum(map(len, shortlex.words)) == len(list(iter_reduced_words(shortlex.length)))
+        assert sum(map(len, fresh_base.cosets)) == len(list(iter_reduced_words(fresh_base.length)))
+
+    def test_each_table_grows_its_own_enumeration(self, base_table):
+        # Once the process table has grown its lists, a fresh table still
+        # starts from the empty word alone, and growing it to the longest
+        # witness leaves the process table's lists as they were.
+        process = search_mod.get_base_table()
+        key = next(key for key, x in base_table.items() if len(x) == 4)
+        assert process[key] == base_table[key]
+        assert process.length >= 4
+        before = process.length, [list(words) for words in process.cosets]
+        fresh = search_mod._BaseTable()
+        assert fresh.length == 0
+        assert fresh.cosets == [[""] if g == IDENTITY_COSET else [] for g in range(16)]
+        key = max(base_table, key=lambda key: len(base_table[key]))
+        assert fresh[key] == base_table[key]
+        assert fresh.length == 13
+        assert (process.length, process.cosets) == before
 
 
 class TestOnDemandBaseTable:

@@ -55,6 +55,14 @@ parse_texts = st.one_of(
               st.integers(0, 60), st.sampled_from("1 xA\u00e9")),
 )
 
+# Text over "abcd" with one character outside it inserted.
+bad_letter_texts = st.builds(
+    lambda w, k, ch: w[:k] + ch + w[k:],
+    st.text(alphabet="abcd", max_size=40),
+    st.integers(0, 40),
+    st.one_of(st.sampled_from("|1 xA"), st.characters().filter(lambda ch: ch not in LETTERS)),
+)
+
 
 @st.composite
 def junction_pairs(draw):
@@ -265,6 +273,22 @@ class TestReduce:
 
         r = reduce(s)
         assert word_equal_oracle("".join(s), r)
+
+
+class TestInvalidLetters:
+    @pytest.mark.parametrize(
+        "fn,text",
+        [(reduce, "abxba"), (reduce, "a|a"), (phi_pair, "abxba"), (split_children, "bxb")],
+    )
+    def test_examples(self, fn, text):
+        with pytest.raises(InvalidCharacter):
+            fn(text)
+
+    @given(bad_letter_texts)
+    def test_every_word_function_raises(self, text):
+        for fn in (reduce, phi_pair, split_children):
+            with pytest.raises(InvalidCharacter):
+                fn(text)
 
 
 class TestProduct:
