@@ -9,7 +9,8 @@ each word costs a constant number of bounded Q-set operations per row
 member, and no row ever holds more than 256 members.
 
 ``ConjTable.add`` grows a table by a list of inputs.  ``solve`` adds all
-of them at once.  ``conjugate_pairs`` adds them chunk by chunk and stops
+of them at once.  ``conjugate_pairs`` adds them in chunks sized by their
+letters, ``PAIR_LETTERS`` first and each budget twice the last, and stops
 at the chunk that holds the first conjugate pair.  A table grown by
 chunks processes its words in another order, so its representatives may
 differ from ``solve``'s; conjugacy is intrinsic, so its verdicts cannot.
@@ -75,11 +76,13 @@ from .words import parse_all, split_level
 
 ROW_CAPACITY = 256
 
-# The inputs conjugate_pairs reads before it first looks for a pair; each
-# later chunk of inputs is twice the one before.  Random lists of short
-# words hold their first pair well inside the first chunk, so a call's
-# cost does not jump with where in the list that pair sits.
-PAIR_CHUNK = 256
+# The letters conjugate_pairs reads before it first looks for a pair; each
+# later chunk's budget is twice the last.  Counted in letters, not words,
+# so a call reads about twice the letters it needs whatever the word
+# length.  Lists of 2000 random 50-letter words (the batch-short
+# benchmark's, seeds 1-400) hold their first pair at j <= 36, inside the
+# 41-word first chunk, so a call on them costs the same wherever it sits.
+PAIR_LETTERS = 2048
 
 
 class CapacityViolation(RuntimeError):
@@ -371,25 +374,33 @@ def conjugate_pairs(inputs):
     "First" means the smallest j that has a conjugate among the inputs
     before it, paired with the first of those.  Every input is parsed up
     front, by ``words.parse_all``, so a bad word anywhere in the list
-    raises.  The inputs then join one table in chunks, ``PAIR_CHUNK`` of
-    them first and each chunk twice the last, and the scan stops at the
-    chunk holding the first pair: the first pair within a prefix is the
-    first pair of the list.  So the call reads only the prefix it needs,
-    and its cost is linear in that prefix, plus the parse of every input:
-    a few C-level passes over the list's join when its words are reduced.
+    raises.  The inputs then join one table in chunks: the shortest
+    prefix holding ``PAIR_LETTERS`` letters, then each time the shortest
+    next run holding twice the last chunk's budget (or the rest of the
+    list).  The scan stops at the chunk holding the first pair: the first
+    pair within a prefix is the first pair of the list.  So the call reads
+    fewer than twice the letters through that pair, plus ``PAIR_LETTERS``
+    and one word, and its cost is linear in them, plus the parse of every
+    input: a few C-level passes over the list's join when its words are
+    reduced.
     """
     inputs = parse_all(inputs)
     table = ConjTable()
     lam1 = table.lambda1
     seen = {}
-    start, size = 0, PAIR_CHUNK
-    while start < len(inputs):
-        chunk = inputs[start:start + size]
+    n = len(inputs)
+    start, budget = 0, PAIR_LETTERS
+    while start < n:
+        end, letters = start, 0
+        while end < n and letters < budget:
+            letters += len(inputs[end])
+            end += 1
+        chunk = inputs[start:end]
         table.add(chunk)
         for j, w in enumerate(chunk, start):
             i = seen.setdefault(lam1[w].rep, j)
             if i != j:
                 return (i, j)
-        start += size
-        size *= 2
+        start = end
+        budget *= 2
     return None

@@ -1,6 +1,7 @@
 import ast
 import functools
 import hashlib
+import itertools
 import random
 import re
 
@@ -359,6 +360,20 @@ def pairwise_distinct(n):
     return ws
 
 
+@pytest.fixture
+def chunks(monkeypatch):
+    """The word lists passed to ``ConjTable.add``, in call order."""
+    seen = []
+    add = ConjTable.add
+
+    def record(table, words):
+        seen.append(list(words))
+        return add(table, words)
+
+    monkeypatch.setattr(ConjTable, "add", record)
+    return seen
+
+
 class TestConjugatePairs:
     def test_finds_planted_pair(self):
         assert conjugate_pairs(["b", "c", "aba"]) == (0, 2)
@@ -402,15 +417,24 @@ class TestConjugatePairs:
             ws = [rand_reduced(50, rng) for _ in range(2000)]
             assert conjugate_pairs(ws) == self.first_pair_of_solve(ws), seed
 
-    def check_planted(self, n, planted, first):
+    def check_planted(self, chunks, n, planted, first, ends):
+        """Plant conjugates in ``pairwise_distinct(n)`` and check the first
+        pair, and that the chunks read end at ``ends`` through the one
+        holding it, whatever the planted words' lengths."""
         ws = list(pairwise_distinct(n))
         rng = random.Random(5)
         for i, j in planted:
             x = rand_reduced(rng.randrange(1, 20), rng)
             ws[j] = reduce(inverse(x) + ws[i] + x)
-        assert conjugate_pairs(ws) == self.first_pair_of_solve(ws) == first
+        expected = self.first_pair_of_solve(ws)
+        chunks.clear()
+        assert conjugate_pairs(ws) == expected == first
+        j = first[1]
+        read = [e for e in ends if e <= j] + [min(e for e in ends if e > j)]
+        assert list(itertools.accumulate(map(len, chunks))) == read
 
-    # With a first chunk of 16 the chunks end at 16 and 48.
+    # With a budget of 800 letters the chunks of 50-letter words end at
+    # 16 and 48.
     @pytest.mark.parametrize(
         "planted, first",
         [
@@ -425,17 +449,76 @@ class TestConjugatePairs:
             ([(2, 49), (20, 48)], (20, 48)),
         ],
     )
-    def test_planted_pairs_around_chunk_ends(self, monkeypatch, planted, first):
-        monkeypatch.setattr(engine, "PAIR_CHUNK", 16)
-        self.check_planted(60, planted, first)
+    def test_planted_pairs_around_chunk_ends(self, monkeypatch, chunks, planted, first):
+        monkeypatch.setattr(engine, "PAIR_LETTERS", 800)
+        self.check_planted(chunks, 60, planted, first, (16, 48, 60))
 
     @pytest.mark.parametrize("end", [1, 3])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_planted_pairs_around_the_module_chunk_ends(self, end, offset):
-        # The chunks of engine.PAIR_CHUNK inputs, then twice as many, end
-        # at 1 and 3 times PAIR_CHUNK.
-        j = end * engine.PAIR_CHUNK + offset
-        self.check_planted(3 * engine.PAIR_CHUNK + 2, [(7, j)], (7, j))
+    def test_planted_pairs_around_the_module_chunk_ends(self, chunks, end, offset):
+        # The first chunk of 50-letter words holds engine.PAIR_LETTERS
+        # letters and the second twice as many, so together they hold 1
+        # and 3 times PAIR_LETTERS, rounded up to whole words.
+        first_end = -(-engine.PAIR_LETTERS // 50)
+        ends = {1: first_end, 3: first_end - (-2 * engine.PAIR_LETTERS // 50)}
+        n = ends[3] + 2
+        j = ends[end] + offset
+        self.check_planted(chunks, n, [(7, j)], (7, j), (ends[1], ends[3], n))
+
+    def test_a_first_word_over_the_budget_is_a_chunk_alone(self, chunks, rng):
+        w = rand_reduced(engine.PAIR_LETTERS + 1, rng)
+        x = rand_reduced(30, rng)
+        ws = [w, reduce(inverse(x) + w + x)] + [rand_reduced(50, rng) for _ in range(50)]
+        assert conjugate_pairs(ws) == (0, 1)
+        assert chunks[0] == [w]
+
+    def test_mixed_lengths(self, chunks):
+        # A 3000-letter word fills the first chunk alone; the second holds
+        # the next 4096 letters, 82 words of 50.
+        rng = random.Random(3)
+        ws = [rand_reduced(3000, rng)] + [rand_reduced(50, rng) for _ in range(200)]
+        expected = self.first_pair_of_solve(ws)
+        assert expected[1] <= 82
+        chunks.clear()
+        assert conjugate_pairs(ws) == expected
+        assert list(map(len, chunks)) == [1, 82]
+
+    def test_identity_lines(self):
+        # Empty words hold no letters, so no budget is ever met; the chunk
+        # ends with the list.
+        assert conjugate_pairs(["1"] * 5000) == (0, 1)
+
+    def test_long_words_read_only_the_prefix(self, chunks):
+        rng = random.Random(4)
+        ws = [rand_reduced(2000, rng) for _ in range(300)]
+        x = rand_reduced(60, rng)
+        ws[3] = reduce(inverse(x) + ws[0] + x)
+        # The chunks hold 2048 letters, then 4096: words 0-1, then 2-3.
+        assert len(ws[3]) >= 2 * engine.PAIR_LETTERS - 2000
+        assert conjugate_pairs(ws) == (0, 3)
+        assert sum(map(len, chunks)) <= 4
+
+    def test_letters_read_are_bounded_by_the_prefix(self, chunks):
+        # Each chunk overshoots its budget by less than its last word, and
+        # its budget is at most PAIR_LETTERS plus the letters before it.
+        for seed in range(12):
+            rng = random.Random(seed)
+            ws = [rand_reduced(rng.randrange(20, 300), rng) for _ in range(rng.randrange(1, 150))]
+            if len(ws) > 1:
+                i = rng.randrange(len(ws) - 1)
+                j = rng.randrange(i + 1, len(ws))
+                x = rand_reduced(rng.randrange(1, 40), rng)
+                ws[j] = reduce(inverse(x) + ws[i] + x)
+            expected = self.first_pair_of_solve(ws)
+            chunks.clear()
+            assert conjugate_pairs(ws) == expected, seed
+            read = sum(len(w) for chunk in chunks for w in chunk)
+            if expected is None:
+                assert read == sum(map(len, ws)), seed
+            else:
+                through_j = sum(map(len, ws[:expected[1] + 1]))
+                last = len(chunks[-1][-1])
+                assert read < 2 * through_j + engine.PAIR_LETTERS + last, seed
 
     def test_bad_word_after_the_pair_raises(self, rng):
         # Every input is parsed before the first chunk is read.

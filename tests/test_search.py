@@ -731,23 +731,22 @@ class TestBaseTableCompleteness:
 
     def test_insertion_order_is_independent_of_the_hash_seed(self):
         # Tests that sample the table by position see the same slots in
-        # every run.
+        # every run.  hash_seed_check.py prints the full table's slot order
+        # first, then the conjugators and batch solves CI also compares.
         src = os.path.dirname(os.path.dirname(grigconj.__file__))
         tests = os.path.dirname(os.path.abspath(__file__))
-        path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
-        code = (
-            "import hashlib; from conftest import full_base_table; "
-            "print(hashlib.sha256(repr(list(full_base_table().items())).encode()).hexdigest())"
-        )
-        digests = set()
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = set()
         for seed in ("0", "1"):
             env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
             proc = subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+                [sys.executable, os.path.join(tests, "hash_seed_check.py")],
+                capture_output=True, text=True, env=env, cwd=os.path.dirname(tests), timeout=120,
             )
             assert proc.returncode == 0, proc.stderr
-            digests.add(proc.stdout)
-        assert len(digests) == 1
+            outputs.add(proc.stdout)
+        (out,) = outputs
+        assert out.startswith("base table 9688 13 ")
 
 
 class TestGetBaseTable:
